@@ -71,6 +71,19 @@ class Grid:
             total *= h
         return total
 
+    @cached_property
+    def lap_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the negative stencil Laplacian, shaped like the grid.
+
+        Mode k = (k_1, ..., k_dim) is the DST-I product of sin(pi j k_a / (n_a + 1))
+        over the axes, with eigenvalue sum_a (4/h_a^2) sin^2(pi k_a / (2 (n_a + 1))).
+        """
+        total = np.zeros(self.shape)
+        for a, (n, h) in enumerate(zip(self.n_interior, self.h)):
+            lam = (4.0 / (h * h)) * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
+            total += lam.reshape([n if b == a else 1 for b in range(self.dim)])
+        return total
+
     @property
     def volume(self) -> float:
         """Measure of the continuous domain."""

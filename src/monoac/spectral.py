@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linsolve import apply_shifted, solve_shifted
+from ._linsolve import LinearSolveError, apply_shifted, solve_shifted
 from .grid import Field, Grid
 from .model import ModelParams
 
@@ -54,7 +54,10 @@ def min_eig(g: Grid, V: Field, tol: float = 1e-9, max_iter: int = 500) -> EigenR
     lam = 0.0
     resid = np.inf
     for it in range(1, max_iter + 1):
-        y = solve_shifted(g, diag_shifted, x)
+        try:
+            y = solve_shifted(g, diag_shifted, x)
+        except LinearSolveError as exc:
+            raise EigenError(f"inverse power solve failed at iteration {it}: {exc}") from exc
         y /= sqrt_w * float(np.linalg.norm(y))
         ly = apply_shifted(g, v, y)  # unshifted operator
         lam = w * float(y @ ly)

@@ -213,7 +213,10 @@ def _resolvent_raw(g: Grid, v: np.ndarray, lam: float, tol: float,
         if norm <= tol:
             return w
         diag = 1.0 / lam + 3.0 * w * w
-        delta = solve_shifted(g, diag, -r / lam, x0=None)
+        try:
+            delta = solve_shifted(g, diag, -r / lam)
+        except LinearSolveError as exc:
+            raise SolverError(f"resolvent linear solve failed: {exc}") from exc
         step = 1.0
         while step > 1e-12:
             trial = w + step * delta

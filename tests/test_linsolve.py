@@ -1,0 +1,140 @@
+import json
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
+
+from monoac import Field, make_grid, min_eig, spectral, steppers
+from monoac._linsolve import LinearSolveError, solve_shifted
+from monoac.cli import main
+
+
+def assembled_operator(g, d):
+    """diag(d) - lap as a sparse matrix, built from the 3-point stencil per axis."""
+    lap = sp.csr_matrix((g.n_nodes, g.n_nodes))
+    for a, (n, h) in enumerate(zip(g.n_interior, g.h)):
+        axis = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / (h * h)
+        factors = [sp.identity(m) for m in g.n_interior]
+        factors[a] = axis
+        term = factors[0]
+        for f in factors[1:]:
+            term = sp.kron(term, f)
+        lap = lap + term
+    return (sp.diags(d) - lap).tocsr()
+
+
+# non-square with unequal spacing, so a swapped axis in the DST spectrum shows
+G = make_grid(2, ((0, 2), (0, 1)), (23, 17))
+
+
+def fixed_mask(kind, rng):
+    if kind == "none":
+        return None
+    if kind == "none_marked":
+        return np.zeros(G.n_nodes, dtype=bool)
+    if kind == "disk":
+        x, y = G.coords()
+        return (x - 0.8) ** 2 + (y - 0.45) ** 2 < 0.3**2
+    if kind == "random30":
+        return rng.random(G.n_nodes) < 0.3
+    if kind == "all":
+        return np.ones(G.n_nodes, dtype=bool)
+    raise ValueError(kind)
+
+
+def diagonal(kind, rng):
+    if kind == "positive":
+        return 1.0 + 50.0 * rng.random(G.n_nodes)
+    # mean below zero, yet every entry above -lambda_min(-lap): still SPD
+    lam1 = float(G.lap_eigenvalues.min())
+    return lam1 * (-0.8 + 0.1 * rng.uniform(-1.0, 1.0, G.n_nodes))
+
+
+class TestSolveShifted2D:
+    @pytest.mark.parametrize("fixed_kind", ["none", "none_marked", "disk", "random30", "all"])
+    @pytest.mark.parametrize("diag_kind", ["positive", "negative_mean"])
+    def test_matches_sparse_direct_solve(self, fixed_kind, diag_kind):
+        rng = np.random.default_rng(7)
+        fixed = fixed_mask(fixed_kind, rng)
+        d = diagonal(diag_kind, rng)
+        rhs = rng.standard_normal(G.n_nodes)
+        x = solve_shifted(G, d, rhs, fixed=fixed)
+        free = np.ones(G.n_nodes, dtype=bool) if fixed is None else ~fixed
+        assert np.all(x[~free] == 0.0)
+        if not free.any():
+            return
+        a_ff = assembled_operator(G, d)[free][:, free]
+        b_f = rhs[free]
+        assert np.linalg.norm(a_ff @ x[free] - b_f) <= 1e-11 * np.linalg.norm(b_f)
+        ref = spsolve(a_ff.tocsc(), b_f)
+        assert np.linalg.norm(x[free] - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_scalar_diagonal_broadcasts(self):
+        rhs = np.random.default_rng(3).standard_normal(G.n_nodes)
+        x = solve_shifted(G, 2.5, rhs)
+        a = assembled_operator(G, 2.5 * np.ones(G.n_nodes))
+        assert np.linalg.norm(a @ x - rhs) <= 1e-11 * np.linalg.norm(rhs)
+
+    def test_lap_eigenvalues_match_dense_spectrum(self):
+        g = make_grid(2, ((0, 2), (0, 1)), (6, 5))
+        dense = assembled_operator(g, np.zeros(g.n_nodes)).toarray()
+        expected = np.linalg.eigvalsh(dense)
+        assert g.lap_eigenvalues.shape == g.shape
+        np.testing.assert_allclose(np.sort(g.lap_eigenvalues.ravel()), expected, rtol=1e-12)
+
+
+def test_min_eig_2d_matches_dense_eigvalsh():
+    g = make_grid(2, ((0, 2), (0, 1)), (24, 17))
+    x, y = g.coords()
+    v = 3.0 * (0.6 * np.exp(-((x - 0.9) ** 2 + (y - 0.5) ** 2) / 0.1)) ** 2 - 1.5 * x
+    lam = min_eig(g, Field(g, v), tol=1e-10).lambda_min
+    ref = float(np.linalg.eigvalsh(assembled_operator(g, v).toarray())[0])
+    assert abs(lam - ref) <= 1e-9 * abs(ref)
+
+
+def write_config(tmp_path, doc, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture
+def failing_solve(monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise LinearSolveError("forced failure")
+
+    monkeypatch.setattr(steppers, "solve_shifted", fail)
+    monkeypatch.setattr(spectral, "solve_shifted", fail)
+
+
+DOMAIN = {"dim": 1, "endpoints": [0, 1], "n_interior": 31}
+DT = (1.0 / 32.0) ** 2 / 4.0
+BUMP = {"preset": "bump", "center": 0.5, "width": 0.3, "height": 0.4}
+
+
+class TestLinearSolveErrorExitCodes:
+    def test_run_exits_3_with_partial_outputs(self, tmp_path, failing_solve):
+        doc = {"domain": DOMAIN, "model": {"kappa": 1.0}, "initial": BUMP,
+               "solver": {"scheme": "yosida", "dt": DT, "t_end": 8 * DT},
+               "outputs": {"directory": str(tmp_path / "out"), "stride": 1}}
+        assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 3
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert "forced failure" in manifest["failure"]["message"]
+
+    def test_eigen_exits_5(self, tmp_path, failing_solve):
+        doc = {"domain": DOMAIN, "potential": {"type": "zero"}}
+        assert main(["eigen", "--config", write_config(tmp_path, doc), "--quiet"]) == 5
+
+    def test_sweep_member_exits_7(self, tmp_path, failing_solve):
+        doc = {"kind": "yosida_lambda", "domain": DOMAIN, "model": {"kappa": 1.0},
+               "initial": BUMP,
+               "base_solver": {"dt": DT, "t_end": 64 * DT, "snapshot_stride": 16},
+               "reference_solver": {"dt": 16 * DT, "t_end": 64 * DT, "snapshot_stride": 1},
+               "lambdas": [1e-1]}
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--quiet"]) == 7
+
+    def test_equilibrium_warm_start_run_exits_6(self, tmp_path, failing_solve):
+        doc = {"domain": DOMAIN, "model": {"kappa": 1.0}, "obstacle": BUMP,
+               "warm_start": {"run": {"scheme": "yosida", "dt": DT, "t_end": 8 * DT}}}
+        assert main(["equilibrium", "--config", write_config(tmp_path, doc), "--quiet"]) == 6
