@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .config import (
     parse_run_config,
     parse_solver,
 )
-from .grid import Field, norm_lp, read_field_csv, write_field_csv
+from .grid import Field, read_field_csv, write_field_csv
 from .model import ModelParams, energy_floor
 from .obstacle import KernelError, solve_equilibrium
 from .spectral import EigenError, min_eig
@@ -286,35 +285,21 @@ def _sweep_yosida(args, doc) -> int:
     ref_cfg = parse_solver(ref_section, g, p, ref_stride)
     outdir = args.out or (doc.get("outputs") or {}).get("directory")
 
-    def member(lam):
-        cfg = parse_solver({**base, "yosida_lambda": lam}, g, p, stride)
-        traj = run(g, u0, p, cfg)
-        if outdir:
-            runio.write_trajectory(traj, os.path.join(outdir, f"lambda_{lam!r}"),
-                                   config_echo={**doc, "member_lambda": lam})
-        return traj
-
     try:
-        with ThreadPoolExecutor(max_workers=min(4, len(lambdas) + 1)) as pool:
-            ref_future = pool.submit(run, g, u0, p, ref_cfg)
-            trajs = list(pool.map(member, lambdas))
-            ref = ref_future.result()
+        trajs = []
+        for lam in lambdas:
+            cfg = parse_solver({**base, "yosida_lambda": lam}, g, p, stride)
+            trajs.append(run(g, u0, p, cfg))
+            if outdir:
+                runio.write_trajectory(trajs[-1], os.path.join(outdir, f"lambda_{lam!r}"),
+                                       config_echo={**doc, "member_lambda": lam})
+        ref = run(g, u0, p, ref_cfg)
     except (SolverError, ValueError) as exc:
         print(f"sweep member failure: {exc}", file=sys.stderr)
         return 7
     if outdir:
         runio.write_trajectory(ref, os.path.join(outdir, "reference"), config_echo=doc)
-    ref_times = {round(float(t), 12): i for i, t in enumerate(ref.snapshot_times)}
-    errors = []
-    for traj in trajs:
-        err = 0.0
-        for j, t in enumerate(traj.snapshot_times):
-            i = ref_times.get(round(float(t), 12))
-            if i is None or t == 0.0:
-                continue
-            err = max(err, norm_lp(g, Field(g, traj.snapshots[j].values
-                                            - ref.snapshots[i].values), 2))
-        errors.append(err)
+    errors = [diagnostics.snapshot_error(traj, ref)[0] for traj in trajs]
     decreasing = all(b < a for a, b in zip(errors, errors[1:])) or max(errors) <= 1e-12
     aggregate = {"kind": "yosida_lambda", "lambdas": lambdas, "errors": errors,
                  "monotone_decreasing": decreasing}
@@ -335,20 +320,15 @@ def _sweep_family(args, doc) -> int:
     margin = float(doc.get("margin", 1.0))
     outdir = args.out or (doc.get("outputs") or {}).get("directory")
 
-    def member(item):
-        idx, u0 = item
-        traj = run(g, u0, p, cfg)
-        if outdir:
-            runio.write_trajectory(traj, os.path.join(outdir, f"member_{idx:02d}"),
-                                   config_echo={**doc, "member_index": idx})
-        return traj
-
     try:
-        with ThreadPoolExecutor(max_workers=min(4, len(initials))) as pool:
-            trajs = list(pool.map(member, enumerate(initials)))
+        trajs = run(g, initials, p, cfg)
     except (SolverError, ValueError) as exc:
         print(f"sweep member failure: {exc}", file=sys.stderr)
         return 7
+    if outdir:
+        for idx, traj in enumerate(trajs):
+            runio.write_trajectory(traj, os.path.join(outdir, f"member_{idx:02d}"),
+                                   config_echo={**doc, "member_index": idx})
     r_level = max(float(t.series("res_neg_l2sq")[0]) for t in trajs)
     c_hat = max(diagnostics.check_dissipation(t, p).details["c_hat"] for t in trajs)
     m0 = -energy_floor(g, p)

@@ -28,6 +28,7 @@ __all__ = [
     "check_equilibrium",
     "check_absorbing",
     "check_smoothing",
+    "snapshot_error",
     "check_yosida_convergence",
     "check_energy_flux",
     "check_gradient_flux",
@@ -304,6 +305,25 @@ def check_smoothing(traj: Trajectory, tol: float = 1e-6) -> CheckReport:
                    finite=bool(np.isfinite(sup_smoothing)))
 
 
+def snapshot_error(traj: Trajectory, ref: Trajectory) -> tuple[float, int]:
+    """Largest L2 distance from traj to ref over their common snapshot times.
+
+    Times match after rounding to 12 digits and t = 0 is skipped; returns the
+    error and the number of matched times.
+    """
+    g = traj.grid
+    ref_times = {round(float(t), 12): i for i, t in enumerate(ref.snapshot_times)}
+    err, matched = 0.0, 0
+    for j, t in enumerate(traj.snapshot_times):
+        i = ref_times.get(round(float(t), 12))
+        if i is None or t == 0.0:
+            continue
+        matched += 1
+        err = max(err, norm_lp(g, Field(g, traj.snapshots[j].values
+                                        - ref.snapshots[i].values), 2))
+    return err, matched
+
+
 def check_yosida_convergence(g, u0: Field, p: ModelParams, base_cfg: SolverConfig,
                              lambdas, reference_cfg: SolverConfig | None = None,
                              zero_floor: float = 1e-12) -> CheckReport:
@@ -322,24 +342,12 @@ def check_yosida_convergence(g, u0: Field, p: ModelParams, base_cfg: SolverConfi
             snapshot_stride=max(1, base_cfg.snapshot_stride // 16),
         )
     ref = run(g, u0, p, reference_cfg)
-    ref_times = {round(float(t), 12): i for i, t in enumerate(ref.snapshot_times)}
     errors = []
     for lam in lambdas:
         cfg = SolverConfig(scheme="yosida", dt=base_cfg.dt, t_end=base_cfg.t_end,
                            yosida_lambda=lam, newton_tol=base_cfg.newton_tol,
                            snapshot_stride=base_cfg.snapshot_stride)
-        traj = run(g, u0, p, cfg)
-        err = 0.0
-        matched = 0
-        for j, t in enumerate(traj.snapshot_times):
-            if t == 0.0:
-                continue
-            i = ref_times.get(round(float(t), 12))
-            if i is None:
-                continue
-            matched += 1
-            err = max(err, norm_lp(g, Field(g, traj.snapshots[j].values
-                                            - ref.snapshots[i].values), 2))
+        err, matched = snapshot_error(run(g, u0, p, cfg), ref)
         if matched == 0:
             raise ValueError("no common sample times between the sweeps and the reference")
         errors.append(err)

@@ -158,22 +158,25 @@ def _check_on_grid(g: Grid, u: Field):
 
 
 def lap_array(g: Grid, a: np.ndarray) -> np.ndarray:
-    """Dirichlet Laplacian stencil on a raw value array (flat or shaped)."""
+    """Dirichlet Laplacian stencil on raw values; the last axis holds the nodes.
+
+    Leading axes are a batch: an array of shape (..., n_nodes) maps to the same shape.
+    """
     if g.dim == 1:
         h2 = g.h[0] * g.h[0]
         out = -2.0 * a
-        out[1:] += a[:-1]
-        out[:-1] += a[1:]
+        out[..., 1:] += a[..., :-1]
+        out[..., :-1] += a[..., 1:]
         return out / h2
-    v = a.reshape(g.shape)
+    v = a.reshape(a.shape[:-1] + g.shape)
     h1sq = g.h[0] * g.h[0]
     h2sq = g.h[1] * g.h[1]
     out = (-2.0 / h1sq - 2.0 / h2sq) * v
-    out[1:, :] += v[:-1, :] / h1sq
-    out[:-1, :] += v[1:, :] / h1sq
-    out[:, 1:] += v[:, :-1] / h2sq
-    out[:, :-1] += v[:, 1:] / h2sq
-    return out.reshape(-1)
+    out[..., 1:, :] += v[..., :-1, :] / h1sq
+    out[..., :-1, :] += v[..., 1:, :] / h1sq
+    out[..., :, 1:] += v[..., :, :-1] / h2sq
+    out[..., :, :-1] += v[..., :, 1:] / h2sq
+    return out.reshape(a.shape)
 
 
 def laplacian(g: Grid, u: Field) -> Field:
@@ -193,21 +196,26 @@ def norm_lp(g: Grid, u: Field, p) -> float:
     return float((g.cell_volume * np.sum(np.abs(v) ** p)) ** (1.0 / p))
 
 
-def h1_grad_sq(g: Grid, a: np.ndarray) -> float:
-    """Squared discrete gradient norm of a raw array (edges to the boundary included)."""
+def h1_grad_sq(g: Grid, a: np.ndarray):
+    """Squared discrete gradient norm of raw values (edges to the boundary included).
+
+    The last axis holds the nodes; a stacked (..., n_nodes) input gives one
+    value per leading index, a single field gives a float.
+    """
     if g.dim == 1:
-        d = np.empty(a.size + 1)
-        d[0] = a[0]
-        d[-1] = a[-1]
-        np.subtract(a[1:], a[:-1], out=d[1:-1])
-        total = float((d * d).sum()) / (g.h[0] * g.h[0])
+        d = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
+        d[..., 0] = a[..., 0]
+        d[..., -1] = a[..., -1]
+        np.subtract(a[..., 1:], a[..., :-1], out=d[..., 1:-1])
+        total = (d * d).sum(axis=-1) / (g.h[0] * g.h[0])
     else:
-        v = a.reshape(g.shape)
-        d0 = np.diff(v, axis=0, prepend=0.0, append=0.0)
-        d1 = np.diff(v, axis=1, prepend=0.0, append=0.0)
-        total = float((d0 * d0).sum()) / (g.h[0] * g.h[0]) \
-            + float((d1 * d1).sum()) / (g.h[1] * g.h[1])
-    return g.cell_volume * total
+        v = a.reshape(a.shape[:-1] + g.shape)
+        d0 = np.diff(v, axis=-2, prepend=0.0, append=0.0)
+        d1 = np.diff(v, axis=-1, prepend=0.0, append=0.0)
+        total = (d0 * d0).sum(axis=(-2, -1)) / (g.h[0] * g.h[0]) \
+            + (d1 * d1).sum(axis=(-2, -1)) / (g.h[1] * g.h[1])
+    out = g.cell_volume * total
+    return float(out) if a.ndim == 1 else out
 
 
 def h1_seminorm(g: Grid, u: Field) -> float:

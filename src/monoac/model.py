@@ -120,26 +120,31 @@ def energy_floor(g: Grid, p: ModelParams) -> float:
 def take_snapshot(g: Grid, u: Field, p: ModelParams, t: float) -> EnergySnapshot:
     """Evaluate all per-step scalar diagnostics of a state."""
     vals = _snapshot_values(g, u.values, p, t)
-    return EnergySnapshot(*vals)
+    return EnergySnapshot(*map(float, vals))
 
 
-def _snapshot_values(g: Grid, v: np.ndarray, p: ModelParams, t: float,
-                     r: np.ndarray | None = None) -> tuple[float, ...]:
-    """Raw-array snapshot row; pass a precomputed residual to avoid a second stencil."""
+def _snapshot_values(g: Grid, v: np.ndarray, p: ModelParams, t,
+                     r: np.ndarray | None = None) -> np.ndarray:
+    """Snapshot rows of raw states, one per leading index of v.
+
+    v has shape (..., n_nodes) and t broadcasts against v.shape[:-1]; the
+    result has shape v.shape[:-1] + (len(SNAPSHOT_COLUMNS),).  Pass a
+    precomputed residual to avoid a second stencil.
+    """
     w = g.cell_volume
     if r is None:
         r = residual_array(g, v, p)
     neg = np.minimum(r, 0.0)
-    res_neg_l2sq = w * float((neg * neg).sum())
-    eta_l2 = res_neg_l2sq**0.5
+    res_neg_l2sq = w * (neg * neg).sum(axis=-1)
     grad_sq = h1_grad_sq(g, v)
     v2 = v * v
-    u_l2sq = w * float(v2.sum())
-    u_l4_4 = w * float((v2 * v2).sum())
+    u_l2sq = w * v2.sum(axis=-1)
+    u_l4_4 = w * (v2 * v2).sum(axis=-1)
     phi = 0.5 * grad_sq + 0.25 * u_l4_4
     e = phi - 0.5 * p.kappa * u_l2sq
-    u_linf = float(np.abs(v).max()) if v.size else 0.0
-    return (
-        float(t), e, phi, eta_l2, res_neg_l2sq,
-        u_l2sq**0.5, u_l4_4**0.25, u_linf, grad_sq**0.5,
-    )
+    u_linf = np.abs(v).max(axis=-1)
+    # roots by np.sqrt, which is correctly rounded on every platform (np.power is not)
+    cols = (np.broadcast_to(t, res_neg_l2sq.shape), e, phi, np.sqrt(res_neg_l2sq),
+            res_neg_l2sq, np.sqrt(u_l2sq), np.sqrt(np.sqrt(u_l4_4)), u_linf,
+            np.sqrt(grad_sq))
+    return np.stack(cols, axis=-1)

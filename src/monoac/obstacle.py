@@ -185,14 +185,15 @@ def solve_pgs(prob: ObstacleProblem, u_init: Field, tol: float = 1e-11,
 
 def solve_active_set(prob: ObstacleProblem, u_init: Field, tol: float = 1e-10,
                      max_iter: int | None = None, newton_max_iter: int = 50,
-                     pgs_fallback: bool = True):
+                     pgs_fallback: bool = True, pgs_tol: float = 1e-11,
+                     pgs_max_iter: int = 100_000):
     """Primal-dual active-set Newton solve of the complementarity system.
 
     Alternates an active-set guess with an equality-constrained Newton solve
     (contact nodes frozen on the obstacle) and stops once the full KKT system
     is satisfied: stationarity off contact and wrong-signed multiplier mass
     both below tol.  Detected cycling or a failed Newton solve falls back to
-    solve_pgs when permitted.
+    solve_pgs when permitted, run with pgs_tol and pgs_max_iter.
 
     Contact can release as a front moving one node per sweep (kinked data do
     exactly this), so the default sweep budget scales with the node count.
@@ -226,7 +227,7 @@ def solve_active_set(prob: ObstacleProblem, u_init: Field, tol: float = 1e-10,
             return Field(g, u), Field(g, eta), it
     if not pgs_fallback:
         raise KernelError("active-set iteration did not converge")
-    return solve_pgs(prob, Field(g, np.maximum(u, psi)), tol=min(tol, 1e-11))
+    return solve_pgs(prob, Field(g, np.maximum(u, psi)), tol=pgs_tol, max_iter=pgs_max_iter)
 
 
 def _newton_inactive(prob: ObstacleProblem, u: np.ndarray, active: np.ndarray,
@@ -374,7 +375,7 @@ def solve_equilibrium(g: Grid, u0: Field, p: ModelParams, warm_start: Field,
         return candidate, eta0, report
     try:
         u, eta, _ = solve_active_set(prob, candidate, tol=min(tol, 1e-10),
-                                     max_iter=max_iter)
+                                     max_iter=max_iter, pgs_tol=min(tol, 1e-11))
     except (KernelError, LinearSolveError) as exc:
         raise KernelError(
             "equilibrium polish diverged; advance the trajectory further before polishing"

@@ -59,7 +59,6 @@ def write_trajectory(traj: Trajectory, outdir, config_echo: dict | None = None) 
         "model": {"kappa": traj.params.kappa},
         "n_steps": traj.n_steps(),
         "t_end": float(traj.times[-1]),
-        "wall_time_s": traj.wall_time,
         "snapshots": snapshot_files,
         "inner_iterations": [int(x) for x in traj.inner_iterations],
         "failure": traj.failure,

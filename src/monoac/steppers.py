@@ -42,6 +42,12 @@ __all__ = [
 
 SCHEMES = ("explicit", "implicit_obstacle", "yosida")
 SPLITTINGS = ("convex_split", "fully_implicit")
+# run() reduces the diagnostics of up to DIAG_BLOCK recorded states at once,
+# fewer where a buffer of that many ensemble states would pass _BLOCK_BYTES:
+# the reduction's temporaries scale with the block, and at 64 KiB the peak
+# memory of a sweep stays below that of per-step rows
+DIAG_BLOCK = 256
+_BLOCK_BYTES = 1 << 16
 
 
 class SolverError(RuntimeError):
@@ -176,16 +182,17 @@ def _implicit_step(g, u_prev: np.ndarray, p, dt, splitting, newton_tol=1e-10,
     prob = _implicit_problem(g, u_prev, p, dt, splitting)
     try:
         u_next, eta_hat, iters = solve_active_set(prob, prob.psi, tol=newton_tol,
-                                                  newton_max_iter=newton_max_iter)
+                                                  newton_max_iter=newton_max_iter,
+                                                  pgs_tol=pgs_tol, pgs_max_iter=pgs_max_iter)
     except (KernelError, LinearSolveError) as exc:
         raise SolverError(f"implicit step failed: {exc}") from exc
     report = complementarity_report(prob, u_next, eta_hat)
     if report.max_entry() > 1e3 * max(newton_tol, pgs_tol):
         raise SolverError(
-            f"implicit step stalled after {iters} iterations at residual "
+            f"implicit step stalled after {iters} sweeps at residual "
             f"{report.max_entry():.3e}", report=report,
         )
-    return u_next, eta_hat, iters
+    return u_next.values, eta_hat, iters
 
 
 def step_implicit_obstacle(g: Grid, u_prev: Field, p: ModelParams, dt: float,
@@ -196,7 +203,7 @@ def step_implicit_obstacle(g: Grid, u_prev: Field, p: ModelParams, dt: float,
     multiplier nonpositive and supported where the step did not move.
     """
     u_next, eta_hat, _ = _implicit_step(g, u_prev.values, p, dt, splitting)
-    return u_next, eta_hat
+    return Field(g, u_next), eta_hat
 
 
 def _resolvent_raw(g: Grid, v: np.ndarray, lam: float, tol: float,
@@ -262,64 +269,107 @@ def step_yosida(g: Grid, u: Field, p: ModelParams, dt: float, lam: float,
     return Field(g, u.values + dt * rate.values)
 
 
-def run(g: Grid, u0: Field, p: ModelParams, cfg: SolverConfig) -> Trajectory:
+def run(g: Grid, u0, p: ModelParams, cfg: SolverConfig):
     """Integrate from t = 0 to t_end, recording diagnostics every step.
+
+    u0 is one Field, or a sequence of Fields on g: an ensemble of members that
+    share the grid, the parameters and the solver config.  The members advance
+    together as the rows of one (B, n) array, so per-step overhead is paid once
+    per step rather than once per member; a single Field is the B = 1 case.
+    Returns one Trajectory, or a list with one per member.
 
     The eta column of the diagnostics always comes from the instantaneous
     state (eta = min(r, 0)), independent of the scheme; the implicit scheme
     additionally stores its step multipliers and their gap to that eta.
+    Diagnostics rows are reduced a block of recorded states at a time.
     """
-    if u0.grid != g:
+    single = isinstance(u0, Field)
+    members = [u0] if single else list(u0)
+    if not members:
+        raise ValueError("empty ensemble")
+    if any(m.grid != g for m in members):
         raise ValueError("initial field is not on the given grid")
     cfg.validate(g, p)
     n_steps = cfg.n_steps()
     dt = cfg.dt
     implicit = cfg.scheme == "implicit_obstacle"
-    u0v = u0.values
-    u = u0v.copy()
+    n_members = len(members)
+    u = np.stack([m.values for m in members])
     w_cell = g.cell_volume
 
     times = dt * np.arange(n_steps + 1)
-    diag = np.empty((n_steps + 1, len(SNAPSHOT_COLUMNS)))
-    res_l2sq = np.empty(n_steps + 1)
-    gap_min = np.empty(n_steps + 1)
-    du_dt_l2 = np.zeros(n_steps)
-    min_inc = np.zeros(n_steps)
-    inner = np.zeros(n_steps, dtype=int)
-    snapshots: list[Field] = []
+    diag = np.empty((n_members, n_steps + 1, len(SNAPSHOT_COLUMNS)))
+    res_l2sq = np.empty((n_members, n_steps + 1))
+    gap_min = np.empty((n_members, n_steps + 1))
+    du_dt_l2 = np.zeros((n_members, n_steps))
+    min_inc = np.zeros((n_members, n_steps))
+    inner = np.zeros((n_members, n_steps), dtype=int)
+    snapshots: list[list[Field]] = [[] for _ in members]
     snap_times: list[float] = []
-    multipliers: list[Field] | None = [] if implicit else None
-    eta_gap = np.zeros(n_steps) if implicit else None
+    multipliers = [[] for _ in members] if implicit else None
+    eta_gap = np.zeros((n_members, n_steps)) if implicit else None
     pending_eta_hat: np.ndarray | None = None
+    block = max(1, min(DIAG_BLOCK, _BLOCK_BYTES // u.nbytes))
+    # recorded states and their residuals, copied in until their rows are computed
+    states = np.empty((block,) + u.shape)
+    resids = np.empty_like(states)
+    flushed = 0  # recorded steps before this index have their rows
+    pending = 0  # recorded steps waiting in the buffers
     started = time.perf_counter()
 
-    def record(k: int, uv: np.ndarray, r: np.ndarray):
-        diag[k] = _snapshot_values(g, uv, p, times[k], r=r)
-        res_l2sq[k] = w_cell * float((r * r).sum())
-        gap_min[k] = float((uv - u0v).min())
-        if k % cfg.snapshot_stride == 0 or k == n_steps:
-            snapshots.append(Field(g, uv.copy()))
-            snap_times.append(float(times[k]))
+    def flush():
+        nonlocal flushed, pending
+        if not pending:
+            return
+        stop = flushed + pending
+        uv, r = states[:pending], resids[:pending]
+        rows = _snapshot_values(g, uv, p, times[flushed:stop, None], r=r)
+        diag[:, flushed:stop] = rows.swapaxes(0, 1)
+        res_l2sq[:, flushed:stop] = (w_cell * (r * r).sum(axis=-1)).T
+        for b, m in enumerate(members):
+            gap_min[b, flushed:stop] = (uv[:, b] - m.values).min(axis=-1)
+        flushed = stop
+        pending = 0
 
-    def partial(k: int, message: str) -> Trajectory:
+    def record(k: int, uv: np.ndarray, r: np.ndarray):
+        nonlocal pending
+        states[pending] = uv
+        resids[pending] = r
+        pending += 1
+        if k % cfg.snapshot_stride == 0 or k == n_steps:
+            for b in range(n_members):
+                snapshots[b].append(Field(g, uv[b].copy()))
+            snap_times.append(float(times[k]))
+        if pending == block or k == n_steps:
+            flush()
+
+    def trajectory(b: int, k: int, failure: dict | None = None) -> Trajectory:
         return Trajectory(
-            grid=g, params=p, config=cfg, u0=u0,
-            times=times[: k + 1], diag=diag[: k + 1],
-            res_l2sq=res_l2sq[: k + 1], obstacle_gap_min=gap_min[: k + 1],
-            du_dt_l2=du_dt_l2[:k], step_min_increment=min_inc[:k],
-            inner_iterations=inner[:k],
-            snapshot_times=np.array(snap_times), snapshots=snapshots,
-            multipliers=multipliers, eta_hat_gap_l2=None if eta_gap is None else eta_gap[:k],
-            wall_time=time.perf_counter() - started,
-            failure={"step": k, "message": message},
+            grid=g, params=p, config=cfg, u0=members[b],
+            times=times[: k + 1], diag=diag[b, : k + 1],
+            res_l2sq=res_l2sq[b, : k + 1], obstacle_gap_min=gap_min[b, : k + 1],
+            du_dt_l2=du_dt_l2[b, :k], step_min_increment=min_inc[b, :k],
+            inner_iterations=inner[b, :k],
+            snapshot_times=np.array(snap_times), snapshots=snapshots[b],
+            multipliers=None if multipliers is None else multipliers[b],
+            eta_hat_gap_l2=None if eta_gap is None else eta_gap[b, :k],
+            wall_time=time.perf_counter() - started, failure=failure,
         )
 
-    w_warm = None  # resolvent warm start across steps
+    def fail(b: int, k: int, message: str, detail: str, report=None) -> SolverError:
+        flush()
+        if n_members > 1:
+            message = f"member {b}: {message}"
+        partial = trajectory(b, k, {"step": k, "message": detail})
+        return SolverError(message, trajectory=partial, report=report)
+
+    w_warm = np.empty_like(u) if cfg.scheme == "yosida" else None  # resolvent warm starts
     for k in range(n_steps + 1):
         r = residual_array(g, u, p)
         if pending_eta_hat is not None:
             eta_now = np.minimum(r, 0.0)
-            eta_gap[k - 1] = float(np.sqrt(w_cell * np.sum((pending_eta_hat - eta_now) ** 2)))
+            eta_gap[:, k - 1] = np.sqrt(w_cell * np.sum((pending_eta_hat - eta_now) ** 2,
+                                                        axis=-1))
             pending_eta_hat = None
         record(k, u, r)
         if k == n_steps:
@@ -328,36 +378,31 @@ def run(g: Grid, u0: Field, p: ModelParams, cfg: SolverConfig) -> Trajectory:
             if cfg.scheme == "explicit":
                 u_next = u + dt * np.maximum(r, 0.0)
             elif cfg.scheme == "yosida":
-                w_warm = _resolvent_raw(g, u, cfg.yosida_lambda, cfg.newton_tol,
-                                        cfg.newton_max_iter, w0=w_warm)
+                for b in range(n_members):
+                    w_warm[b] = _resolvent_raw(g, u[b], cfg.yosida_lambda, cfg.newton_tol,
+                                               cfg.newton_max_iter, w0=w_warm[b] if k else None)
                 rate = np.maximum(p.kappa * u - (u - w_warm) / cfg.yosida_lambda, 0.0)
                 u_next = u + dt * rate
             else:
-                nf, ef, iters = _implicit_step(
-                    g, u, p, dt, cfg.splitting,
-                    newton_tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter,
-                    pgs_tol=cfg.pgs_tol, pgs_max_iter=cfg.pgs_max_iter,
-                )
-                u_next = nf.values
-                inner[k] = iters
-                multipliers.append(ef)
-                pending_eta_hat = ef.values
-        except SolverError as exc:
-            raise SolverError(str(exc), trajectory=partial(k, str(exc)),
-                              report=exc.report) from exc
+                u_next = np.empty_like(u)
+                for b in range(n_members):
+                    u_next[b], ef, inner[b, k] = _implicit_step(
+                        g, u[b], p, dt, cfg.splitting,
+                        newton_tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter,
+                        pgs_tol=cfg.pgs_tol, pgs_max_iter=cfg.pgs_max_iter,
+                    )
+                    multipliers[b].append(ef)
+                pending_eta_hat = np.stack([m[-1].values for m in multipliers])
+        except SolverError as exc:  # b is the member being stepped
+            raise fail(b, k, str(exc), str(exc), report=exc.report) from exc
         delta = u_next - u
-        min_inc[k] = float(delta.min())
-        du_dt_l2[k] = (w_cell * float((delta * delta).sum())) ** 0.5 / dt
-        if not np.isfinite(du_dt_l2[k]):
-            raise SolverError(f"state left the finite range at step {k}",
-                              trajectory=partial(k, "non-finite state"))
+        min_inc[:, k] = delta.min(axis=-1)
+        du_dt_l2[:, k] = np.sqrt(w_cell * (delta * delta).sum(axis=-1)) / dt
+        finite = np.isfinite(du_dt_l2[:, k])
+        if not finite.all():
+            raise fail(int(np.argmin(finite)), k, f"state left the finite range at step {k}",
+                       "non-finite state")
         u = u_next
 
-    return Trajectory(
-        grid=g, params=p, config=cfg, u0=u0,
-        times=times, diag=diag, res_l2sq=res_l2sq, obstacle_gap_min=gap_min,
-        du_dt_l2=du_dt_l2, step_min_increment=min_inc, inner_iterations=inner,
-        snapshot_times=np.array(snap_times), snapshots=snapshots,
-        multipliers=multipliers, eta_hat_gap_l2=eta_gap,
-        wall_time=time.perf_counter() - started,
-    )
+    trajs = [trajectory(b, n_steps) for b in range(n_members)]
+    return trajs[0] if single else trajs

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 
@@ -80,6 +81,21 @@ class TestRunCommand:
         for snap in sorted((tmp_path / "a").glob("snapshot_*.csv")):
             twin = tmp_path / "b" / snap.name
             assert snap.read_bytes() == twin.read_bytes()
+
+    def test_pgs_budget_is_applied(self, tmp_path, capsys):
+        doc = run_config(tmp_path)
+        doc["solver"].update({"newton_max_iter": 1, "pgs_max_iter": 2})
+        assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 3
+        stalled = re.search(r"stalled after (\d+) sweeps", capsys.readouterr().err)
+        assert stalled is not None
+        assert int(stalled.group(1)) <= 2
+
+    def test_manifest_identical_across_reruns(self, tmp_path):
+        path = write_config(tmp_path, run_config(tmp_path))
+        for out in ("a", "b"):
+            assert main(["run", "--config", path, "--out", str(tmp_path / out), "--quiet"]) == 0
+        manifest_a = (tmp_path / "a" / "manifest.json").read_bytes()
+        assert manifest_a == (tmp_path / "b" / "manifest.json").read_bytes()
 
     def test_out_flag_overrides_directory(self, tmp_path):
         doc = run_config(tmp_path, initial={"preset": "zero"})

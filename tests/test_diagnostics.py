@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from monoac import Field, ModelParams, SolverConfig, cfl_limit, make_grid, run
+from monoac import Field, ModelParams, SolverConfig, cfl_limit, make_grid, norm_lp, run
 from monoac.diagnostics import (
     check_absorbing,
     check_comparison,
@@ -19,6 +19,7 @@ from monoac.diagnostics import (
     fit_decay_rate,
     run_checks,
     settling_time,
+    snapshot_error,
 )
 from monoac.presets import make_initial
 
@@ -319,6 +320,18 @@ class TestYosidaConvergence:
                                        reference_cfg=ref)
         assert rep.passed
         assert max(rep.details["errors"]) == 0.0
+
+    def test_snapshot_error_skips_t0_and_unmatched_times(self):
+        g = make_grid(1, (0, 1), 15)
+        dt = cfl_limit(g) / 2
+        ref = run(g, make_initial("bump", g, P1, center=0.5, width=0.3, height=0.4), P1,
+                  SolverConfig(scheme="explicit", dt=dt, t_end=16 * dt, snapshot_stride=4))
+        traj = run(g, make_initial("eigenfunction", g, P1, c=0.7), P1,
+                   SolverConfig(scheme="explicit", dt=dt, t_end=16 * dt, snapshot_stride=8))
+        err, matched = snapshot_error(traj, ref)
+        assert matched == 2  # t = 8 dt and 16 dt; t = 0 is skipped
+        assert err == max(norm_lp(g, Field(g, traj.snapshots[j].values
+                                            - ref.snapshots[2 * j].values), 2) for j in (1, 2))
 
     def test_rejects_unsorted_lambdas(self):
         g = make_grid(1, (0, 1), 15)

@@ -16,7 +16,7 @@ from monoac import (
     stencil_min_eigenvalue,
     write_field_csv,
 )
-from monoac.grid import first_mode, lap_array
+from monoac.grid import first_mode, h1_grad_sq, lap_array
 
 
 def field_on(g, values):
@@ -220,3 +220,20 @@ class TestFieldCsv:
         write_field_csv(path, field_on(g, np.zeros(4)))
         with pytest.raises(ValueError, match="does not match"):
             read_field_csv(path, grid=make_grid(1, (0, 1), 5))
+
+
+@pytest.mark.parametrize("dims", [(9,), (5, 4)])
+def test_stacked_input_matches_row_by_row(dims):
+    # leading axes are a batch: each row gives exactly what it gives alone
+    if len(dims) == 1:
+        g = make_grid(1, (0, 1), dims[0])
+    else:
+        g = make_grid(2, ((0, 2), (0, 1)), dims)
+    v = np.random.default_rng(0).standard_normal((3, 2, g.n_nodes))
+    lap = lap_array(g, v)
+    grad_sq = h1_grad_sq(g, v)
+    assert lap.shape == v.shape
+    assert grad_sq.shape == v.shape[:-1]
+    for idx in np.ndindex(*v.shape[:-1]):
+        np.testing.assert_array_equal(lap[idx], lap_array(g, v[idx]))
+        assert grad_sq[idx] == h1_grad_sq(g, v[idx])

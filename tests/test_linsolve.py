@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,50 @@ class TestSolveShifted2D:
         expected = np.linalg.eigvalsh(dense)
         assert g.lap_eigenvalues.shape == g.shape
         np.testing.assert_allclose(np.sort(g.lap_eigenvalues.ravel()), expected, rtol=1e-12)
+
+
+class TestSolveShifted1D:
+    @pytest.mark.parametrize("n", [1, 2, 31])
+    @pytest.mark.parametrize("fixed_kind", ["none", "ends", "random30", "all"])
+    def test_matches_dense_solve(self, n, fixed_kind):
+        g = make_grid(1, (0, 1), n)
+        rng = np.random.default_rng(n)
+        d = 1.0 + 10.0 * rng.random(n)
+        rhs = rng.standard_normal(n)
+        fixed = {"none": None,
+                 "ends": np.isin(np.arange(n), [0, n - 1]),
+                 "random30": rng.random(n) < 0.3,
+                 "all": np.ones(n, dtype=bool)}[fixed_kind]
+        x = solve_shifted(g, d, rhs, fixed=fixed)
+        free = np.ones(n, dtype=bool) if fixed is None else ~fixed
+        assert np.all(x[~free] == 0.0)
+        if free.any():
+            a_ff = assembled_operator(g, d).toarray()[np.ix_(free, free)]
+            np.testing.assert_allclose(x[free], np.linalg.solve(a_ff, rhs[free]),
+                                       rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_singular_system_raises(self, n):
+        g = make_grid(1, (0, 1), n)
+        with pytest.raises(LinearSolveError):
+            solve_shifted(g, -2.0 / g.h[0] ** 2, np.ones(n))
+
+
+class TestSolveShifted2DFailures:
+    def test_unreachable_tolerance_stops_at_grid_scaled_cap(self):
+        # a shift inside the spectrum of -lap: indefinite, so CG cannot converge
+        g = make_grid(2, ((-1, 1), (-1, 1)), (127, 127))
+        rhs = np.random.default_rng(1).standard_normal(g.n_nodes)
+        with pytest.raises(LinearSolveError, match="did not reach") as info:
+            solve_shifted(g, -1000.0, rhs)
+        iterations = int(re.search(r"in (\d+) iterations", str(info.value)).group(1))
+        assert iterations <= 10 * 127 + 200
+
+    def test_nonfinite_residual_raises_at_once(self):
+        d = np.ones(G.n_nodes)
+        d[10] = np.nan
+        with pytest.raises(LinearSolveError, match="non-finite"):
+            solve_shifted(G, d, np.ones(G.n_nodes))
 
 
 def test_min_eig_2d_matches_dense_eigvalsh():

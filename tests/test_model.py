@@ -19,6 +19,7 @@ from monoac import (
     w_prime,
 )
 from monoac.grid import first_mode, h1_grad_sq, stencil_min_eigenvalue
+from monoac.model import SNAPSHOT_COLUMNS, _snapshot_values, residual_array
 from monoac.presets import make_initial
 
 P1 = ModelParams(kappa=1.0)
@@ -232,3 +233,16 @@ def test_phase_set_level_convex_for_nonneg_fields():
         theta = rng.uniform(0.05, 0.95)
         mix = field_on(g, (1 - theta) * u.values + theta * v.values)
         assert dr_value(g, mix, P1) <= r + 1e-9
+
+
+def test_stacked_snapshot_rows_match_single_states():
+    g = make_grid(1, (-1, 1), 31)
+    states = np.stack([make_initial(name, g, P1).values
+                       for name in ("abs_edge", "neg_const", "supersolution")])
+    stacked = np.stack([states, 0.5 * states])  # (2, 3, n)
+    times = np.array([0.0, 0.25])[:, None]
+    rows = _snapshot_values(g, stacked, P1, times, r=residual_array(g, stacked, P1))
+    assert rows.shape == (2, 3, len(SNAPSHOT_COLUMNS))
+    for i, j in np.ndindex(2, 3):
+        single = take_snapshot(g, Field(g, stacked[i, j]), P1, float(times[i, 0]))
+        np.testing.assert_array_equal(rows[i, j], single.row())

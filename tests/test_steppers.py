@@ -15,6 +15,7 @@ from monoac import (
     step_implicit_obstacle,
     step_yosida,
 )
+from monoac import steppers
 from monoac.model import residual_array
 from monoac.obstacle import ObstacleProblem, brute_force_obstacle
 from monoac.presets import make_initial
@@ -307,3 +308,103 @@ class TestRun:
         assert partial is not None
         assert partial.failure is not None
         assert partial.failure["step"] == 0
+
+
+SERIES = ("diag", "res_l2sq", "obstacle_gap_min", "du_dt_l2", "step_min_increment")
+
+
+def ensemble_members(g):
+    return [make_initial("bump", g, P1, center=0.1, width=0.6, height=0.4),
+            make_initial("abs_edge", g, P1),
+            make_initial("eigenfunction", g, P1, c=0.7)]
+
+
+def scheme_config(g, scheme, n_steps=40, stride=7):
+    dt = 0.05 if scheme == "implicit_obstacle" else cfl_limit(g) / 2
+    return SolverConfig(scheme=scheme, dt=dt, t_end=n_steps * dt, snapshot_stride=stride,
+                        yosida_lambda=1e-2)
+
+
+def assert_same_trajectory(a, b, rtol=1e-13):
+    for name in SERIES:
+        np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=rtol, atol=0)
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_array_equal(a.snapshot_times, b.snapshot_times)
+    assert len(a.snapshots) == len(b.snapshots)
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        np.testing.assert_allclose(sa.values, sb.values, rtol=rtol, atol=0)
+    np.testing.assert_array_equal(a.inner_iterations, b.inner_iterations)
+    if a.eta_hat_gap_l2 is not None:
+        np.testing.assert_allclose(a.eta_hat_gap_l2, b.eta_hat_gap_l2, rtol=rtol, atol=0)
+        for ma, mb in zip(a.multipliers, b.multipliers):
+            np.testing.assert_allclose(ma.values, mb.values, rtol=rtol, atol=0)
+
+
+class TestEnsembleRun:
+    @pytest.mark.parametrize("scheme", ["explicit", "yosida", "implicit_obstacle"])
+    def test_members_match_single_runs(self, scheme):
+        g = make_grid(1, (-1, 1), 31)
+        members = ensemble_members(g)
+        cfg = scheme_config(g, scheme)
+        trajs = run(g, members, P1, cfg)
+        assert len(trajs) == len(members)
+        for u0, traj in zip(members, trajs):
+            assert traj.u0 is u0
+            assert_same_trajectory(traj, run(g, u0, P1, cfg))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_diagnostics_block_size_does_not_change_results(self, monkeypatch, block):
+        g = make_grid(1, (-1, 1), 31)
+        members = ensemble_members(g)
+        cfg = scheme_config(g, "explicit", n_steps=50)  # 51 recorded states
+        reference = run(g, members, P1, cfg)
+        monkeypatch.setattr(steppers, "DIAG_BLOCK", block)
+        for a, b in zip(run(g, members, P1, cfg), reference):
+            assert_same_trajectory(a, b, rtol=0)
+
+    def test_nonfinite_member_reports_flushed_partial(self, monkeypatch):
+        g = make_grid(1, (-1, 1), 31)
+        members = ensemble_members(g)
+        cfg = scheme_config(g, "explicit")
+        reference = run(g, members[1], P1, cfg)
+        real = steppers.residual_array
+        calls = []
+
+        def poisoned(grid, v, p):
+            r = real(grid, v, p)
+            calls.append(None)
+            if len(calls) == 11:  # the residual of step 10
+                r[1, 5] = np.inf
+            return r
+
+        monkeypatch.setattr(steppers, "DIAG_BLOCK", 4)  # step 10 sits inside a block
+        monkeypatch.setattr(steppers, "residual_array", poisoned)
+        with pytest.raises(SolverError, match="member 1") as info:
+            run(g, members, P1, cfg)
+        partial = info.value.trajectory
+        assert partial.failure == {"step": 10, "message": "non-finite state"}
+        assert partial.diag.shape == (11, reference.diag.shape[1])
+        assert partial.du_dt_l2.shape == (10,)
+        assert np.all(np.isfinite(partial.diag))
+        np.testing.assert_array_equal(partial.diag[:10], reference.diag[:10])
+        np.testing.assert_array_equal(partial.res_l2sq[:10], reference.res_l2sq[:10])
+        np.testing.assert_array_equal(partial.obstacle_gap_min, reference.obstacle_gap_min[:11])
+        np.testing.assert_array_equal(partial.du_dt_l2, reference.du_dt_l2[:10])
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit_obstacle"])
+    def test_2d_ensemble_of_two(self, scheme):
+        g = make_grid(2, ((-1, 1), (-1, 1)), (15, 11))
+        members = [make_initial("bump", g, P1, center=[0.0, 0.1], width=[0.6, 0.5], height=0.4),
+                   make_initial("eigenfunction", g, P1, c=0.5)]
+        cfg = scheme_config(g, scheme, n_steps=12, stride=4)
+        for u0, traj in zip(members, run(g, members, P1, cfg)):
+            assert_same_trajectory(traj, run(g, u0, P1, cfg))
+
+    def test_single_field_returns_one_trajectory(self):
+        g = make_grid(1, (-1, 1), 15)
+        cfg = scheme_config(g, "explicit", n_steps=4)
+        u0 = make_initial("abs_edge", g, P1)
+        assert isinstance(run(g, u0, P1, cfg), steppers.Trajectory)
+        assert len(run(g, [u0], P1, cfg)) == 1
+        with pytest.raises(ValueError, match="empty"):
+            run(g, [], P1, cfg)
