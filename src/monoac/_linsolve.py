@@ -102,7 +102,12 @@ def _solve_cg(g: Grid, d: np.ndarray, rhs: np.ndarray, fixed: np.ndarray | None,
         r = r - alpha * ap
         res = np.sqrt(float(r @ r))
         if res <= target:
-            return x
+            # the recursive residual drifts from b - A x: accept only a true one,
+            # else carry on from the true residual
+            r = b - matvec(x)
+            res = np.sqrt(float(r @ r))
+            if res <= target:
+                return x
         if not np.isfinite(res):
             raise LinearSolveError("conjugate gradients produced a non-finite residual")
         z = precondition(r)

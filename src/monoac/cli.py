@@ -88,6 +88,15 @@ def _say(args, message):
         print(message)
 
 
+def _solver_failure(exc: SolverError, outdir, config_echo) -> int:
+    """Report a failed run, keep its partial trajectory and return exit code 3."""
+    print(f"solver failure: {exc}", file=sys.stderr)
+    if exc.trajectory is not None:
+        runio.write_trajectory(exc.trajectory, outdir, config_echo=config_echo)
+        print(f"partial outputs kept in {outdir}", file=sys.stderr)
+    return 3
+
+
 def cmd_run(args) -> int:
     """Integrate one configuration and write its trajectory artifacts."""
     setup = parse_run_config(load_json(args.config))
@@ -95,11 +104,7 @@ def cmd_run(args) -> int:
     try:
         traj = run(setup.grid, setup.u0, setup.params, setup.solver)
     except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        if exc.trajectory is not None:
-            runio.write_trajectory(exc.trajectory, outdir, config_echo=setup.echo)
-            print(f"partial outputs kept in {outdir}", file=sys.stderr)
-        return 3
+        return _solver_failure(exc, outdir, setup.echo)
     runio.write_trajectory(traj, outdir, config_echo=setup.echo)
     _say(args, f"run finished: {traj.n_steps()} steps to t={traj.times[-1]:g}, "
                f"outputs in {outdir}")
@@ -131,8 +136,7 @@ def cmd_verify(args) -> int:
         try:
             traj = run(setup.grid, setup.u0, setup.params, setup.solver)
         except SolverError as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return 3
+            return _solver_failure(exc, outdir, doc)
         runio.write_trajectory(traj, outdir, config_echo=doc)
         manifest_hash = runio.manifest_sha256(outdir)
         reports = _run_checks_reporting(traj, setup.checks or DEFAULT_CHECK_SUITE)

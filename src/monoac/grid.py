@@ -84,6 +84,18 @@ class Grid:
             total += lam.reshape([n if b == a else 1 for b in range(self.dim)])
         return total
 
+    @cached_property
+    def csv_header(self) -> str:
+        """Grid header line of a field CSV, newline included."""
+        n_str = "x".join(str(n) for n in self.n_interior)
+        h_str = "x".join(repr(h) for h in self.h)
+        return f"# grid dim={self.dim} n={n_str} h={h_str}\n"
+
+    @cached_property
+    def csv_row_prefixes(self) -> list[str]:
+        """Coordinate columns of each field CSV row, trailing comma included."""
+        return [",".join(row) + "," for row in zip(*map(repr_floats, self.coords()))]
+
     @property
     def volume(self) -> float:
         """Measure of the continuous domain."""
@@ -256,35 +268,52 @@ def first_mode(g: Grid) -> Field:
     return Field(g, v / np.max(v))
 
 
+def repr_floats(a: np.ndarray) -> list[str]:
+    """repr(float(x)) of every entry of a 1D array, formatted in one call."""
+    # a float's repr holds no ", ", so splitting the list's repr is exact
+    return repr(a.tolist())[1:-1].split(", ")
+
+
+def parse_csv_rows(path, text: str, n_cols: int) -> np.ndarray:
+    """Float table of the non-blank lines of a CSV body, n_cols fields per line.
+
+    Whitespace around a field is accepted.  Errors are ValueErrors naming path.
+    """
+    rows = [line.split(",") for line in text.splitlines() if line.strip()]
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError as exc:  # ragged rows, or a field that is not a number
+        raise ValueError(f"{path}: unreadable rows ({exc})") from None
+    if data.shape[1:] != (n_cols,):
+        raise ValueError(f"{path}: expected {n_cols} columns per row")
+    return data
+
+
 def write_field_csv(path, u: Field):
     """One node per line: axis coordinates then value, after a grid header."""
     g = u.grid
-    n_str = "x".join(str(n) for n in g.n_interior)
-    h_str = "x".join(repr(h) for h in g.h)
-    lines = [f"# grid dim={g.dim} n={n_str} h={h_str}"]
-    coords = g.coords()
-    for i in range(g.n_nodes):
-        cols = [repr(float(c[i])) for c in coords]
-        cols.append(repr(float(u.values[i])))
-        lines.append(",".join(cols))
+    rows = map(str.__add__, g.csv_row_prefixes, repr_floats(u.values))
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(g.csv_header + "\n".join(rows) + "\n")
 
 
 def read_field_csv(path, grid: Grid | None = None) -> Field:
-    """Read a field written by write_field_csv; rebuilds the grid if none is given."""
+    """Read a field written by write_field_csv; rebuilds the grid if none is given.
+
+    Blank lines and whitespace around fields are accepted; a missing header,
+    malformed rows, a wrong shape or a non-finite value raise ValueErrors
+    naming path.
+    """
     with open(path) as f:
         header = f.readline().strip()
-        rows = [line.strip() for line in f if line.strip()]
+        body = f.read()
     if not header.startswith("# grid "):
         raise ValueError(f"{path}: missing grid header")
     meta = dict(tok.split("=", 1) for tok in header[len("# grid "):].split())
     dim = int(meta["dim"])
     n_interior = tuple(int(s) for s in meta["n"].split("x"))
     h = tuple(float(s) for s in meta["h"].split("x"))
-    data = np.array([[float(c) for c in r.split(",")] for r in rows])
-    if data.shape[1] != dim + 1:
-        raise ValueError(f"{path}: expected {dim + 1} columns, got {data.shape[1]}")
+    data = parse_csv_rows(path, body, dim + 1)
     if grid is None:
         # endpoints recovered from the first interior node: lo = x0 - h
         endpoints = []
@@ -297,4 +326,6 @@ def read_field_csv(path, grid: Grid | None = None) -> Field:
             raise ValueError(f"{path}: grid header does not match the expected grid")
     if data.shape[0] != grid.n_nodes:
         raise ValueError(f"{path}: expected {grid.n_nodes} rows, got {data.shape[0]}")
+    if not np.isfinite(data[:, -1]).all():
+        raise ValueError(f"{path}: non-finite field value")
     return Field(grid, data[:, -1])

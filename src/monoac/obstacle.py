@@ -72,7 +72,7 @@ class ObstacleProblem:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Operator value a*v - lap(v) + v^3 - [kappa*v]."""
-        return self.diag_shift() * v - lap_array(self.grid, v) + v**3
+        return self.diag_shift() * v - lap_array(self.grid, v) + v * v * v
 
     def stationarity(self, v: np.ndarray) -> np.ndarray:
         """G(v) = operator value minus the source."""

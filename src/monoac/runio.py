@@ -12,9 +12,9 @@ import os
 
 import numpy as np
 
-from .grid import Field, read_field_csv, write_field_csv
+from .grid import Field, Grid, parse_csv_rows, read_field_csv, repr_floats, write_field_csv
 from .model import SNAPSHOT_COLUMNS, ModelParams
-from .steppers import SolverConfig, Trajectory
+from .steppers import SolverConfig, Trajectory, snapshot_index
 
 __all__ = [
     "write_trajectory",
@@ -35,8 +35,7 @@ def write_trajectory(traj: Trajectory, outdir, config_echo: dict | None = None) 
     """Write diagnostics, strided snapshots and the manifest; returns the manifest."""
     os.makedirs(outdir, exist_ok=True)
     rows = [",".join(SNAPSHOT_COLUMNS)]
-    for row in traj.diag:
-        rows.append(",".join(repr(float(x)) for x in row))
+    rows += [",".join(repr_floats(row)) for row in traj.diag]
     with open(os.path.join(outdir, DIAGNOSTICS_FILE), "w") as f:
         f.write("\n".join(rows) + "\n")
 
@@ -88,27 +87,17 @@ def read_trajectory(outdir) -> Trajectory:
     snapshots.  The per-step auxiliary series exist only in memory, so checks
     that need them fall back to snapshot-level granularity.
     """
-    from .grid import Grid  # local to keep the module import list honest
-
-    with open(os.path.join(outdir, MANIFEST_FILE)) as f:
-        manifest = json.load(f)
-    gsec = manifest["grid"]
-    grid = Grid(dim=gsec["dim"],
-                endpoints=tuple(tuple(e) for e in gsec["endpoints"]),
-                n_interior=tuple(gsec["n_interior"]),
-                h=tuple(gsec["h"]))
+    manifest, grid = _read_manifest(outdir)
     params = ModelParams(kappa=manifest["model"]["kappa"])
     cfg = SolverConfig(**manifest["solver"])
 
-    diag_rows = []
-    with open(os.path.join(outdir, DIAGNOSTICS_FILE)) as f:
+    diag_path = os.path.join(outdir, DIAGNOSTICS_FILE)
+    with open(diag_path) as f:
         header = f.readline().strip().split(",")
-        if tuple(header) != SNAPSHOT_COLUMNS:
-            raise ValueError(f"unexpected diagnostics header {header}")
-        for line in f:
-            if line.strip():
-                diag_rows.append([float(x) for x in line.split(",")])
-    diag = np.array(diag_rows)
+        body = f.read()
+    if tuple(header) != SNAPSHOT_COLUMNS:
+        raise ValueError(f"unexpected diagnostics header {header}")
+    diag = parse_csv_rows(diag_path, body, len(SNAPSHOT_COLUMNS))
 
     snapshots, snap_times = [], []
     for entry in manifest["snapshots"]:
@@ -126,6 +115,18 @@ def read_trajectory(outdir) -> Trajectory:
         snapshot_times=np.array(snap_times), snapshots=snapshots,
         failure=manifest.get("failure"),
     )
+
+
+def _read_manifest(outdir) -> tuple[dict, Grid]:
+    """The manifest of a written run and the grid it records."""
+    with open(os.path.join(outdir, MANIFEST_FILE)) as f:
+        manifest = json.load(f)
+    gsec = manifest["grid"]
+    grid = Grid(dim=gsec["dim"],
+                endpoints=tuple(tuple(e) for e in gsec["endpoints"]),
+                n_interior=tuple(gsec["n_interior"]),
+                h=tuple(gsec["h"]))
+    return manifest, grid
 
 
 def manifest_sha256(outdir) -> str:
@@ -147,8 +148,13 @@ def write_verification(outdir, reports, manifest_hash: str | None) -> dict:
 
 
 def load_state_field(outdir, t: float | None = None) -> Field:
-    """Snapshot at time t (default: final) from a written run."""
-    traj = read_trajectory(outdir)
-    if t is None:
-        return traj.final_state()
-    return traj.state_at_time(t)
+    """Snapshot at time t (default: final) from a written run.
+
+    Reads the manifest and that one snapshot; KeyError if none is stored at t.
+    """
+    manifest, grid = _read_manifest(outdir)
+    entries = manifest["snapshots"]
+    if not entries:
+        raise ValueError(f"{outdir}: no snapshots on disk")
+    idx = -1 if t is None else snapshot_index([e["t"] for e in entries], t)
+    return read_field_csv(os.path.join(outdir, entries[idx]["file"]), grid=grid)

@@ -147,10 +147,16 @@ class Trajectory:
         return self.snapshots[-1]
 
     def state_at_time(self, t: float) -> Field:
-        idx = int(np.argmin(np.abs(self.snapshot_times - t)))
-        if abs(self.snapshot_times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"no stored snapshot at t={t}")
-        return self.snapshots[idx]
+        return self.snapshots[snapshot_index(self.snapshot_times, t)]
+
+
+def snapshot_index(snapshot_times, t: float) -> int:
+    """Index of the snapshot stored at time t (to 1e-9 relative); KeyError if none."""
+    times = np.asarray(snapshot_times)
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        raise KeyError(f"no stored snapshot at t={t}")
+    return idx
 
 
 def step_explicit(g: Grid, u: Field, p: ModelParams, dt: float) -> Field:

@@ -2,10 +2,11 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from monoac.cli import main
 from monoac.grid import read_field_csv
-from monoac.runio import read_trajectory
+from monoac.runio import load_state_field, read_trajectory
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -163,6 +164,15 @@ class TestVerifyCommand:
         assert main(["verify", "--config", write_config(tmp_path, verify_doc, "v.json"),
                      "--quiet"]) == 4
 
+    def test_solver_failure_exits_3_with_partial_outputs(self, tmp_path, capsys):
+        doc = run_config(tmp_path, checks=["monotone"])
+        doc["solver"].update({"newton_max_iter": 1, "pgs_max_iter": 2})
+        assert main(["verify", "--config", write_config(tmp_path, doc), "--quiet"]) == 3
+        assert "partial outputs kept" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failure"] is not None
+        assert (tmp_path / "out" / "snapshot_00000000.csv").exists()
+
     def test_roundtrip_preserves_diagnostics(self, tmp_path):
         doc = run_config(tmp_path)
         assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 0
@@ -215,6 +225,27 @@ class TestEquilibriumCommand:
         report = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())
         assert all(v <= 1e-6 for v in report["complementarity"].values())
         assert (tmp_path / "eq" / "equilibrium.csv").exists()
+
+    def test_trajectory_warm_start_reads_only_the_final_snapshot(self, tmp_path):
+        run_doc = run_config(tmp_path, out="run")
+        assert main(["run", "--config", write_config(tmp_path, run_doc, "run.json"),
+                     "--quiet"]) == 0
+        snapshots = sorted((tmp_path / "run").glob("snapshot_*.csv"))
+        for snap in snapshots[:-1]:
+            snap.unlink()
+        (tmp_path / "run" / "diagnostics.csv").unlink()
+        doc = {
+            "domain": run_doc["domain"], "model": {"kappa": 1.0},
+            "obstacle": {"preset": "abs_edge"},
+            "warm_start": {"trajectory": str(tmp_path / "run")},
+            "tol": 1e-6,
+            "outputs": {"directory": str(tmp_path / "eq")},
+        }
+        assert main(["equilibrium", "--config", write_config(tmp_path, doc), "--quiet"]) == 0
+        report = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())
+        warm = read_field_csv(snapshots[-1])
+        eq = read_field_csv(tmp_path / "eq" / "equilibrium.csv")
+        assert report["distance_from_warm_start_inf"] == np.max(np.abs(eq.values - warm.values))
 
     def test_bad_warm_start_exits_6(self, tmp_path):
         doc = {
@@ -309,3 +340,17 @@ def test_2d_run_roundtrip(tmp_path):
     back = read_trajectory(tmp_path / "sq")
     assert back.grid.dim == 2
     assert back.snapshots[0].values.shape == (81,)
+
+
+def test_load_state_field_picks_the_stored_snapshot(tmp_path):
+    doc = run_config(tmp_path)
+    assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 0
+    out = tmp_path / "out"
+    traj = read_trajectory(out)
+    for t, k in ((0.6, 3), (0.6 + 1e-12, 3), (None, 10)):
+        state = load_state_field(out, t=t)
+        assert state.grid == traj.grid
+        np.testing.assert_array_equal(state.values, traj.snapshots[k].values)
+    for t in (0.7, 5.0):
+        with pytest.raises(KeyError):
+            load_state_field(out, t=t)

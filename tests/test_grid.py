@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +222,68 @@ class TestFieldCsv:
         write_field_csv(path, field_on(g, np.zeros(4)))
         with pytest.raises(ValueError, match="does not match"):
             read_field_csv(path, grid=make_grid(1, (0, 1), 5))
+
+    def test_golden_text_1d(self, tmp_path):
+        g = make_grid(1, (-1, 1), 3)
+        path = tmp_path / "u.csv"
+        write_field_csv(path, field_on(g, [0.1, -0.0, 5e-324]))
+        assert path.read_text() == (
+            "# grid dim=1 n=3 h=0.5\n"
+            "-0.5,0.1\n"
+            "0.0,-0.0\n"
+            "0.5,5e-324\n"
+        )
+
+    def test_golden_text_2d(self, tmp_path):
+        g = make_grid(2, ((0, 1), (0, 2)), (2, 3))
+        path = tmp_path / "u.csv"
+        values = [1.7976931348623157e308, -1.5, 1 / 3, 2.0, -1e-10, 123456789.125]
+        write_field_csv(path, field_on(g, values))
+        assert path.read_text() == (
+            "# grid dim=2 n=2x3 h=0.3333333333333333x0.5\n"
+            "0.3333333333333333,0.5,1.7976931348623157e+308\n"
+            "0.3333333333333333,1.0,-1.5\n"
+            "0.3333333333333333,1.5,0.3333333333333333\n"
+            "0.6666666666666666,0.5,2.0\n"
+            "0.6666666666666666,1.0,-1e-10\n"
+            "0.6666666666666666,1.5,123456789.125\n"
+        )
+
+    @pytest.mark.parametrize("dims", [(200,), (13, 11)])
+    def test_lines_match_per_value_repr(self, tmp_path, dims):
+        # reference: one repr(float(.)) per coordinate and value, joined by commas
+        if len(dims) == 1:
+            g = make_grid(1, (-1.3, 0.7), dims[0])
+        else:
+            g = make_grid(2, ((-1, 1), (0, 0.3)), dims)
+        rng = np.random.default_rng(11)
+        scale = 10.0 ** rng.integers(-300, 300, g.n_nodes)
+        u = field_on(g, rng.standard_normal(g.n_nodes) * scale)
+        path = tmp_path / "u.csv"
+        write_field_csv(path, u)
+        coords = g.coords()
+        rows = [",".join([repr(float(c[i])) for c in coords] + [repr(float(u.values[i]))])
+                for i in range(g.n_nodes)]
+        assert path.read_text().splitlines()[1:] == rows
+
+    def test_whitespace_and_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("# grid dim=1 n=3 h=0.5\n\n -0.5 , 0.1\n0.0,\t-0.0 \n  \n0.5,5e-324\n\n")
+        back = read_field_csv(path)
+        assert back.values.tolist() == [0.1, -0.0, 5e-324]
+        assert back.grid == make_grid(1, (-1, 1), 3)
+
+    @pytest.mark.parametrize("text", [
+        "# grid dim=1 n=3 h=0.5\n-0.5,0.1\n0.0,0.2,0.3\n0.5,0.4\n",  # ragged row
+        "# grid dim=1 n=3 h=0.5\n-0.5,0,0.1\n0.0,0,0.2\n0.5,0,0.4\n",  # three columns
+        "-0.5,0.1\n0.0,0.2\n0.5,0.4\n",  # no header
+        "# grid dim=1 n=3 h=0.5\n-0.5,0.1\n0.0,nan\n0.5,0.4\n",  # NaN value
+    ], ids=["ragged", "columns", "header", "nan"])
+    def test_malformed_file_rejected_naming_path(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_field_csv(path)
 
 
 @pytest.mark.parametrize("dims", [(9,), (5, 4)])

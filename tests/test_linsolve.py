@@ -122,6 +122,17 @@ class TestSolveShifted2DFailures:
         iterations = int(re.search(r"in (\d+) iterations", str(info.value)).group(1))
         assert iterations <= 10 * 127 + 200
 
+    @pytest.mark.parametrize("fixed_kind", ["none", "disk"])
+    def test_tolerance_below_rounding_raises(self, fixed_kind):
+        # the recursive residual falls below any target; the true one stops near 1e-16
+        g = make_grid(2, ((0, 1), (0, 1)), (9, 7))
+        x, y = g.coords()
+        fixed = None if fixed_kind == "none" else (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.2**2
+        rng = np.random.default_rng(5)
+        with pytest.raises(LinearSolveError, match="did not reach"):
+            solve_shifted(g, 1.0 + rng.random(g.n_nodes), rng.standard_normal(g.n_nodes),
+                          fixed=fixed, rtol=1e-30)
+
     def test_nonfinite_residual_raises_at_once(self):
         d = np.ones(G.n_nodes)
         d[10] = np.nan
