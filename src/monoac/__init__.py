@@ -47,7 +47,7 @@ from .obstacle import (
     solve_pgs,
 )
 from .presets import PRESET_NAMES, make_initial
-from .spectral import EigenError, EigenResult, jacobi_min_eig, min_eig, sigma_rate
+from .spectral import EigenError, EigenResult, min_eig, sigma_rate
 from .steppers import (
     SolverConfig,
     SolverError,

@@ -23,7 +23,9 @@ import numpy as np
 from . import diagnostics, runio
 from .config import (
     ConfigError,
+    _parse_checks,
     _require_keys,
+    default_stride,
     load_json,
     parse_domain,
     parse_initial,
@@ -39,10 +41,6 @@ from .steppers import SolverError, run
 
 DEFAULT_CHECK_SUITE = ["monotone", "energy_decrease", "eta_monotone", "range",
                        "dissipation", "smoothing"]
-# reloaded runs only carry what the file formats carry; checks that need the
-# in-memory per-step rate series are dropped from their default suite
-DEFAULT_CHECK_SUITE_DISK = ["monotone", "energy_decrease", "eta_monotone", "range",
-                            "smoothing"]
 
 
 def _run_checks_reporting(traj, checks) -> list:
@@ -117,8 +115,7 @@ def cmd_verify(args) -> int:
     if "trajectory" in doc:
         _require_keys(doc, "config", ("trajectory",), ("checks", "outputs"))
         outdir = args.out or (doc.get("outputs") or {}).get("directory") or doc["trajectory"]
-        from .config import _parse_checks
-        checks = _parse_checks(doc.get("checks")) or DEFAULT_CHECK_SUITE_DISK
+        checks = _parse_checks(doc.get("checks"))
         try:
             traj = runio.read_trajectory(doc["trajectory"])
             manifest_hash = runio.manifest_sha256(doc["trajectory"])
@@ -129,7 +126,6 @@ def cmd_verify(args) -> int:
             runio.write_verification(outdir, [report], None)
             print(f"trajectory unusable: {exc}", file=sys.stderr)
             return 4
-        reports = _run_checks_reporting(traj, checks)
     else:
         setup = parse_run_config(doc)
         outdir = args.out or setup.out_dir
@@ -139,7 +135,8 @@ def cmd_verify(args) -> int:
             return _solver_failure(exc, outdir, doc)
         runio.write_trajectory(traj, outdir, config_echo=doc)
         manifest_hash = runio.manifest_sha256(outdir)
-        reports = _run_checks_reporting(traj, setup.checks or DEFAULT_CHECK_SUITE)
+        checks = setup.checks
+    reports = _run_checks_reporting(traj, checks or DEFAULT_CHECK_SUITE)
     runio.write_verification(outdir, reports, manifest_hash)
     for r in reports:
         _say(args, f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: "
@@ -217,8 +214,7 @@ def cmd_equilibrium(args) -> int:
             warm = read_field_csv(warm_section["csv"], grid=g)
         elif "run" in warm_section:
             section = dict(warm_section["run"])
-            n_steps = int(round(float(section["t_end"]) / float(section["dt"])))
-            stride = int(section.pop("snapshot_stride", 0)) or max(1, n_steps // 10)
+            stride = int(section.pop("snapshot_stride", 0)) or default_stride(section, 10)
             cfg = parse_solver(section, g, p, stride)
             traj = run(g, u0, p, cfg)
             warm = traj.final_state()

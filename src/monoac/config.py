@@ -15,7 +15,8 @@ from .presets import PRESET_NAMES, make_initial
 from .steppers import SolverConfig
 
 __all__ = ["ConfigError", "RunSetup", "load_json", "parse_run_config",
-           "parse_domain", "parse_model", "parse_initial", "parse_solver"]
+           "parse_domain", "parse_model", "parse_initial", "parse_solver",
+           "default_stride"]
 
 
 class ConfigError(ValueError):
@@ -106,11 +107,26 @@ def parse_solver(section, g: Grid, p: ModelParams, snapshot_stride: int) -> Solv
     return cfg
 
 
-def _parse_outputs(section, default_steps: int):
+def default_stride(solver_section, records: int) -> int:
+    """Snapshot stride giving about `records` snapshots over a solver section's run.
+
+    max(1, round(t_end/dt) // records); ConfigError if dt or t_end is missing
+    or not a number.
+    """
+    try:
+        n_steps = round(float(solver_section["t_end"]) / float(solver_section["dt"]))
+    except KeyError as exc:
+        raise ConfigError(f"solver: missing key {exc}") from None
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"solver: dt and t_end must be numbers ({exc})") from None
+    return max(1, n_steps // records)
+
+
+def _parse_outputs(section, solver_section):
     _require_keys(section, "outputs", ("directory",), ("stride",))
     stride = section.get("stride")
     if stride is None:
-        stride = max(1, default_steps // 100)
+        stride = default_stride(solver_section, 100)
     stride = int(stride)
     if stride < 1:
         raise ConfigError("outputs: stride must be >= 1")
@@ -149,9 +165,7 @@ def parse_run_config(doc: dict, path_hint: str = "config") -> RunSetup:
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"])
     u0 = parse_initial(doc["initial"], g, p)
-    n_steps_guess = int(round(float(doc["solver"].get("t_end", 1.0))
-                              / float(doc["solver"].get("dt", 1.0))))
-    out_dir, stride = _parse_outputs(doc["outputs"], n_steps_guess)
+    out_dir, stride = _parse_outputs(doc["outputs"], doc["solver"])
     cfg = parse_solver(doc["solver"], g, p, stride)
     checks = _parse_checks(doc.get("checks"))
     return RunSetup(grid=g, params=p, u0=u0, solver=cfg, out_dir=out_dir,

@@ -300,19 +300,22 @@ def write_field_csv(path, u: Field):
 def read_field_csv(path, grid: Grid | None = None) -> Field:
     """Read a field written by write_field_csv; rebuilds the grid if none is given.
 
-    Blank lines and whitespace around fields are accepted; a missing header,
-    malformed rows, a wrong shape or a non-finite value raise ValueErrors
-    naming path.
+    Blank lines and whitespace around fields are accepted; a missing or
+    malformed header, malformed rows, a wrong shape or a non-finite value
+    raise ValueErrors naming path.
     """
     with open(path) as f:
         header = f.readline().strip()
         body = f.read()
     if not header.startswith("# grid "):
         raise ValueError(f"{path}: missing grid header")
-    meta = dict(tok.split("=", 1) for tok in header[len("# grid "):].split())
-    dim = int(meta["dim"])
-    n_interior = tuple(int(s) for s in meta["n"].split("x"))
-    h = tuple(float(s) for s in meta["h"].split("x"))
+    try:
+        meta = dict(tok.split("=", 1) for tok in header[len("# grid "):].split())
+        dim = int(meta["dim"])
+        n_interior = tuple(int(s) for s in meta["n"].split("x"))
+        h = tuple(float(s) for s in meta["h"].split("x"))
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed grid header ({exc!r})") from None
     data = parse_csv_rows(path, body, dim + 1)
     if grid is None:
         # endpoints recovered from the first interior node: lo = x0 - h

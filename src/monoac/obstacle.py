@@ -108,14 +108,10 @@ def _neighbor_table(g: Grid):
     nbrs, wgts = [], []
     for axis in range(g.dim):
         w = 1.0 / (g.h[axis] * g.h[axis])
-        for shift in (-1, 1):
+        lo = _axis_slice(axis, slice(None, -1), g.dim)
+        hi = _axis_slice(axis, slice(1, None), g.dim)
+        for sl_to, sl_from in ((hi, lo), (lo, hi)):  # neighbor at -1, then at +1
             nb = np.full(g.shape, -1, dtype=int)
-            if shift == -1:
-                sl_to = (slice(1, None),) if g.dim == 1 else _axis_slice(axis, slice(1, None), g.dim)
-                sl_from = (slice(None, -1),) if g.dim == 1 else _axis_slice(axis, slice(None, -1), g.dim)
-            else:
-                sl_to = (slice(None, -1),) if g.dim == 1 else _axis_slice(axis, slice(None, -1), g.dim)
-                sl_from = (slice(1, None),) if g.dim == 1 else _axis_slice(axis, slice(1, None), g.dim)
             nb[sl_to] = idx[sl_from]
             nbrs.append(nb.reshape(-1))
             wgts.append(w)
@@ -185,15 +181,14 @@ def solve_pgs(prob: ObstacleProblem, u_init: Field, tol: float = 1e-11,
 
 def solve_active_set(prob: ObstacleProblem, u_init: Field, tol: float = 1e-10,
                      max_iter: int | None = None, newton_max_iter: int = 50,
-                     pgs_fallback: bool = True, pgs_tol: float = 1e-11,
-                     pgs_max_iter: int = 100_000):
+                     pgs_tol: float = 1e-11, pgs_max_iter: int = 100_000):
     """Primal-dual active-set Newton solve of the complementarity system.
 
     Alternates an active-set guess with an equality-constrained Newton solve
     (contact nodes frozen on the obstacle) and stops once the full KKT system
     is satisfied: stationarity off contact and wrong-signed multiplier mass
     both below tol.  Detected cycling or a failed Newton solve falls back to
-    solve_pgs when permitted, run with pgs_tol and pgs_max_iter.
+    solve_pgs, run with pgs_tol and pgs_max_iter.
 
     Contact can release as a front moving one node per sweep (kinked data do
     exactly this), so the default sweep budget scales with the node count.
@@ -225,8 +220,6 @@ def solve_active_set(prob: ObstacleProblem, u_init: Field, tol: float = 1e-10,
             u = np.maximum(u, psi)
             eta = np.where(active, np.minimum(-mu, 0.0), 0.0)
             return Field(g, u), Field(g, eta), it
-    if not pgs_fallback:
-        raise KernelError("active-set iteration did not converge")
     return solve_pgs(prob, Field(g, np.maximum(u, psi)), tol=pgs_tol, max_iter=pgs_max_iter)
 
 
@@ -285,7 +278,8 @@ def brute_force_obstacle(prob: ObstacleProblem, newton_tol: float = 1e-13,
         raise KernelError("a = 0 instance with the kappa term inside may be nonconvex; refusing")
     psi = prob.psi.values
     b = prob.b.values
-    dense = _dense_linear_part(g, prob.diag_shift())
+    eye = np.eye(n)
+    dense = prob.diag_shift() * eye - lap_array(g, eye)  # the stencil is symmetric
     for bits in itertools.product((False, True), repeat=n):
         active = np.array(bits)
         u = psi.copy()
@@ -300,18 +294,6 @@ def brute_force_obstacle(prob: ObstacleProblem, newton_tol: float = 1e-13,
             eta = np.where(active, np.minimum(-resid, 0.0), 0.0)
             return Field(g, u), Field(g, eta)
     raise KernelError("no active set verifies KKT; instance is nonconvex or tolerances too tight")
-
-
-def _dense_linear_part(g: Grid, shift: float) -> np.ndarray:
-    """Dense matrix of v -> shift*v - lap(v)."""
-    n = g.n_nodes
-    out = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[:] = 0.0
-        e[j] = 1.0
-        out[:, j] = shift * e - lap_array(g, e)
-    return out
 
 
 def _dense_newton(dense: np.ndarray, prob: ObstacleProblem, u: np.ndarray,

@@ -1,4 +1,4 @@
-"""On-disk layout of a run: diagnostics CSV, snapshot CSVs, manifest JSON.
+"""On-disk layout of a run: diagnostics and steps CSVs, snapshot CSVs, manifest JSON.
 
 Float columns are written with repr (shortest round-trip form), so identical
 configurations produce byte-identical CSV files.
@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 DIAGNOSTICS_FILE = "diagnostics.csv"
+# the per-step series; row k's two step columns describe the step t_{k-1} -> t_k
+STEPS_FILE = "steps.csv"
+STEPS_COLUMNS = ("t", "res_l2sq", "obstacle_gap_min", "du_dt_l2", "step_min_increment")
 MANIFEST_FILE = "manifest.json"
 
 
@@ -32,12 +35,17 @@ def _snapshot_filename(k: int) -> str:
 
 
 def write_trajectory(traj: Trajectory, outdir, config_echo: dict | None = None) -> dict:
-    """Write diagnostics, strided snapshots and the manifest; returns the manifest."""
+    """Write diagnostics, per-step series, strided snapshots and the manifest.
+
+    Returns the manifest.
+    """
     os.makedirs(outdir, exist_ok=True)
-    rows = [",".join(SNAPSHOT_COLUMNS)]
-    rows += [",".join(repr_floats(row)) for row in traj.diag]
-    with open(os.path.join(outdir, DIAGNOSTICS_FILE), "w") as f:
-        f.write("\n".join(rows) + "\n")
+    _write_table(os.path.join(outdir, DIAGNOSTICS_FILE), SNAPSHOT_COLUMNS, traj.diag)
+    first_step = np.zeros(1)  # no step ends at t_0
+    steps = np.column_stack([traj.times, traj.res_l2sq, traj.obstacle_gap_min,
+                             np.concatenate([first_step, traj.du_dt_l2]),
+                             np.concatenate([first_step, traj.step_min_increment])])
+    _write_table(os.path.join(outdir, STEPS_FILE), STEPS_COLUMNS, steps)
 
     snapshot_files = []
     for i, (t, field) in enumerate(zip(traj.snapshot_times, traj.snapshots)):
@@ -70,6 +78,21 @@ def write_trajectory(traj: Trajectory, outdir, config_echo: dict | None = None) 
     return manifest
 
 
+def _write_table(path, columns, table: np.ndarray):
+    rows = [",".join(columns)] + [",".join(repr_floats(row)) for row in table]
+    with open(path, "w") as f:
+        f.write("\n".join(rows) + "\n")
+
+
+def _read_table(path, columns) -> np.ndarray:
+    with open(path) as f:
+        header = f.readline().strip().split(",")
+        body = f.read()
+    if tuple(header) != columns:
+        raise ValueError(f"{path}: unexpected header {header}")
+    return parse_csv_rows(path, body, len(columns))
+
+
 def _config_dict(cfg: SolverConfig) -> dict:
     return {
         "scheme": cfg.scheme, "dt": cfg.dt, "t_end": cfg.t_end,
@@ -83,21 +106,20 @@ def _config_dict(cfg: SolverConfig) -> dict:
 def read_trajectory(outdir) -> Trajectory:
     """Reload a written run for verification.
 
-    Only what the file formats carry comes back: the diagnostics table and the
-    snapshots.  The per-step auxiliary series exist only in memory, so checks
-    that need them fall back to snapshot-level granularity.
+    The diagnostics table, the per-step series and the snapshots come back as
+    run() returned them, so every check runs on a reloaded run as in memory.
+    The step multipliers are not stored.  A missing or malformed file raises
+    OSError or ValueError.
     """
     manifest, grid = _read_manifest(outdir)
     params = ModelParams(kappa=manifest["model"]["kappa"])
     cfg = SolverConfig(**manifest["solver"])
 
-    diag_path = os.path.join(outdir, DIAGNOSTICS_FILE)
-    with open(diag_path) as f:
-        header = f.readline().strip().split(",")
-        body = f.read()
-    if tuple(header) != SNAPSHOT_COLUMNS:
-        raise ValueError(f"unexpected diagnostics header {header}")
-    diag = parse_csv_rows(diag_path, body, len(SNAPSHOT_COLUMNS))
+    diag = _read_table(os.path.join(outdir, DIAGNOSTICS_FILE), SNAPSHOT_COLUMNS)
+    steps_path = os.path.join(outdir, STEPS_FILE)
+    steps = _read_table(steps_path, STEPS_COLUMNS)
+    if not np.array_equal(steps[:, 0], diag[:, 0]):
+        raise ValueError(f"{steps_path}: times differ from {DIAGNOSTICS_FILE}")
 
     snapshots, snap_times = [], []
     for entry in manifest["snapshots"]:
@@ -109,8 +131,8 @@ def read_trajectory(outdir) -> Trajectory:
     return Trajectory(
         grid=grid, params=params, config=cfg, u0=snapshots[0],
         times=diag[:, 0], diag=diag,
-        res_l2sq=None, obstacle_gap_min=None, du_dt_l2=None,
-        step_min_increment=None,
+        res_l2sq=steps[:, 1], obstacle_gap_min=steps[:, 2], du_dt_l2=steps[1:, 3],
+        step_min_increment=steps[1:, 4],
         inner_iterations=np.array(manifest.get("inner_iterations", []), dtype=int),
         snapshot_times=np.array(snap_times), snapshots=snapshots,
         failure=manifest.get("failure"),

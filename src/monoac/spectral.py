@@ -1,7 +1,6 @@
 """First Dirichlet eigenvalue of -lap + V and the exponential decay rate.
 
-Inverse power iteration on the positively shifted operator; a dense Jacobi
-rotation eigensolver doubles as an independent oracle on small grids.
+Inverse power iteration on the positively shifted operator.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from ._linsolve import LinearSolveError, apply_shifted, solve_shifted
 from .grid import Field, Grid
 from .model import ModelParams
 
-__all__ = ["EigenResult", "EigenError", "min_eig", "sigma_rate", "jacobi_min_eig"]
+__all__ = ["EigenResult", "EigenError", "min_eig", "sigma_rate"]
 
 
 class EigenError(RuntimeError):
@@ -87,43 +86,3 @@ def sigma_rate(g: Grid, u0: Field, p: ModelParams, tol: float = 1e-9) -> float:
     V = Field(g, 3.0 * u0.values**2)
     return min_eig(g, V, tol=tol).lambda_min - p.kappa
 
-
-def jacobi_min_eig(g: Grid, V: Field, tol: float = 1e-12, max_sweeps: int = 100) -> float:
-    """Dense cyclic Jacobi oracle for the same eigenvalue; n <= 64 only."""
-    n = g.n_nodes
-    if n > 64:
-        raise ValueError(f"dense oracle limited to 64 nodes, got {n}")
-    a = _dense_operator(g, V.values)
-    anorm = np.sqrt(np.sum(a * a))
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
-        if off <= tol * anorm:
-            break
-        for p_ in range(n - 1):
-            for q_ in range(p_ + 1, n):
-                if abs(a[p_, q_]) <= 1e-18 * anorm:
-                    continue
-                theta = 0.5 * (a[q_, q_] - a[p_, p_]) / a[p_, q_]
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rows = a[[p_, q_], :].copy()
-                a[p_, :] = c * rows[0] - s * rows[1]
-                a[q_, :] = s * rows[0] + c * rows[1]
-                cols = a[:, [p_, q_]].copy()
-                a[:, p_] = c * cols[:, 0] - s * cols[:, 1]
-                a[:, q_] = s * cols[:, 0] + c * cols[:, 1]
-    return float(np.min(np.diag(a)))
-
-
-def _dense_operator(g: Grid, v: np.ndarray) -> np.ndarray:
-    n = g.n_nodes
-    out = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[:] = 0.0
-        e[j] = 1.0
-        out[:, j] = apply_shifted(g, v, e)
-    return out

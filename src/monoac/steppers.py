@@ -111,9 +111,10 @@ class Trajectory:
     """Time-stamped states plus per-step diagnostics of one run.
 
     ``diag`` holds one row per recorded time with the columns of
-    SNAPSHOT_COLUMNS; the remaining arrays are auxiliary per-step series used
-    by the verification checks (full squared residual norm, distance to the
-    initial obstacle, step increments, inner iteration counts).
+    SNAPSHOT_COLUMNS; the remaining arrays are auxiliary series used by the
+    verification checks: per recorded time the full squared residual norm and
+    the distance to the initial obstacle, per step the rate norm, the smallest
+    increment and the inner iteration count.
     """
 
     grid: Grid

@@ -1,12 +1,20 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from monoac import ModelParams, SolverConfig, make_grid, run
 from monoac.cli import main
-from monoac.grid import read_field_csv
-from monoac.runio import load_state_field, read_trajectory
+from monoac.grid import read_field_csv, write_field_csv
+from monoac.presets import make_initial
+from monoac.runio import load_state_field, read_trajectory, write_trajectory
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -76,9 +84,8 @@ class TestRunCommand:
         doc_b = run_config(tmp_path, out="b")
         assert main(["run", "--config", write_config(tmp_path, doc_a, "a.json"), "--quiet"]) == 0
         assert main(["run", "--config", write_config(tmp_path, doc_b, "b.json"), "--quiet"]) == 0
-        da = (tmp_path / "a" / "diagnostics.csv").read_bytes()
-        db = (tmp_path / "b" / "diagnostics.csv").read_bytes()
-        assert da == db
+        for name in ("diagnostics.csv", "steps.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         for snap in sorted((tmp_path / "a").glob("snapshot_*.csv")):
             twin = tmp_path / "b" / snap.name
             assert snap.read_bytes() == twin.read_bytes()
@@ -97,6 +104,19 @@ class TestRunCommand:
             assert main(["run", "--config", path, "--out", str(tmp_path / out), "--quiet"]) == 0
         manifest_a = (tmp_path / "a" / "manifest.json").read_bytes()
         assert manifest_a == (tmp_path / "b" / "manifest.json").read_bytes()
+
+    @pytest.mark.parametrize("stride", [10, None])
+    def test_dt_not_a_number_exits_2(self, tmp_path, stride):
+        doc = run_config(tmp_path)
+        doc["solver"]["dt"] = "abc"
+        if stride is None:
+            del doc["outputs"]["stride"]
+        assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+
+    def test_initial_csv_with_malformed_header_exits_2(self, tmp_path):
+        path = malformed_header_csv(tmp_path, make_grid(1, (-1, 1), 63))
+        doc = run_config(tmp_path, initial={"csv": str(path)})
+        assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
 
     def test_out_flag_overrides_directory(self, tmp_path):
         doc = run_config(tmp_path, initial={"preset": "zero"})
@@ -156,13 +176,62 @@ class TestVerifyCommand:
                      "--quiet"]) == 0
 
     def test_requested_unavailable_check_fails_honestly(self, tmp_path):
-        # dissipation needs the in-memory rate series; asking for it on a
-        # reloaded run must fail the run, not crash it
+        # an unknown check, or a run without its per-step series, must fail
+        # the verification with a report, not crash it
         doc = run_config(tmp_path)
         assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 0
-        verify_doc = {"trajectory": str(tmp_path / "out"), "checks": ["dissipation"]}
+        out = tmp_path / "out"
+        verify_doc = {"trajectory": str(out), "checks": ["no_such_check"]}
         assert main(["verify", "--config", write_config(tmp_path, verify_doc, "v.json"),
                      "--quiet"]) == 4
+        [check] = json.loads((out / "verification.json").read_text())["checks"]
+        assert check["name"] == "no_such_check" and check["passed"] is False
+        assert "unknown check" in check["details"]["error"]
+
+        (out / "steps.csv").unlink()
+        verify_doc = {"trajectory": str(out), "checks": ["dissipation"]}
+        assert main(["verify", "--config", write_config(tmp_path, verify_doc, "v.json"),
+                     "--quiet"]) == 4
+        [check] = json.loads((out / "verification.json").read_text())["checks"]
+        assert check["name"] == "load_trajectory" and check["passed"] is False
+        assert "steps.csv" in check["details"]["error"]
+
+    def test_existing_trajectory_runs_rate_checks(self, tmp_path):
+        doc = run_config(tmp_path)
+        assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 0
+        verify_doc = {"trajectory": str(tmp_path / "out"),
+                      "checks": ["energy_flux", "dissipation"]}
+        assert main(["verify", "--config", write_config(tmp_path, verify_doc, "v.json"),
+                     "--quiet"]) == 0
+
+    def test_disk_and_memory_reports_agree(self, tmp_path):
+        doc = run_config(tmp_path, out="mem")
+        assert main(["verify", "--config", write_config(tmp_path, doc), "--quiet"]) == 0
+        verify_doc = {"trajectory": str(tmp_path / "mem"),
+                      "outputs": {"directory": str(tmp_path / "disk")}}
+        assert main(["verify", "--config", write_config(tmp_path, verify_doc, "v.json"),
+                     "--quiet"]) == 0
+        mem = json.loads((tmp_path / "mem" / "verification.json").read_text())
+        disk = json.loads((tmp_path / "disk" / "verification.json").read_text())
+        assert "dissipation" in [c["name"] for c in mem["checks"]]
+        assert disk == mem
+
+    def test_dip_between_snapshots_fails_monotone_from_disk(self, tmp_path):
+        g = make_grid(1, (-1, 1), 63)
+        p = ModelParams(kappa=1.0)
+        cfg = SolverConfig(scheme="implicit_obstacle", dt=0.02, t_end=2.0, snapshot_stride=10)
+        traj = run(g, make_initial("abs_edge", g, p), p, cfg)
+        traj.step_min_increment[13] = -1e-6  # the step to t_14, between stored t_10 and t_20
+        out = tmp_path / "dip"
+        write_trajectory(traj, out)
+        verify_doc = {"trajectory": str(out), "checks": ["monotone", "range"]}
+        assert main(["verify", "--config", write_config(tmp_path, verify_doc, "v.json"),
+                     "--quiet"]) == 4
+        monotone, range_ = json.loads((out / "verification.json").read_text())["checks"]
+        assert monotone["passed"] is False
+        assert monotone["worst_violation"] == 1e-6
+        assert monotone["location"] == pytest.approx(float(traj.times[14]))
+        assert range_["passed"] is True
 
     def test_solver_failure_exits_3_with_partial_outputs(self, tmp_path, capsys):
         doc = run_config(tmp_path, checks=["monotone"])
@@ -264,6 +333,36 @@ class TestEquilibriumCommand:
         assert main(["equilibrium", "--config", write_config(tmp_path, doc), "--quiet"]) == 6
 
 
+    def test_csv_warm_start_with_malformed_header_exits_6(self, tmp_path):
+        g = make_grid(1, (0, 1), 31)
+        doc = {
+            "domain": {"dim": 1, "endpoints": [0, 1], "n_interior": 31},
+            "model": {"kappa": 1.0},
+            "obstacle": {"preset": "supersolution", "c": 1.0},
+            "warm_start": {"csv": str(malformed_header_csv(tmp_path, g))},
+        }
+        assert main(["equilibrium", "--config", write_config(tmp_path, doc), "--quiet"]) == 6
+
+    def test_run_warm_start_without_t_end_exits_2(self, tmp_path):
+        doc = {
+            "domain": {"dim": 1, "endpoints": [0, 1], "n_interior": 31},
+            "model": {"kappa": 1.0},
+            "obstacle": {"preset": "supersolution", "c": 1.0},
+            "warm_start": {"run": {"scheme": "implicit_obstacle", "dt": 0.05}},
+        }
+        assert main(["equilibrium", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+
+
+def malformed_header_csv(tmp_path, g):
+    """A field file on g whose grid header lacks the node count."""
+    path = tmp_path / "no_n.csv"
+    write_field_csv(path, make_initial("zero", g, ModelParams(kappa=1.0)))
+    lines = path.read_text().splitlines()
+    lines[0] = f"# grid dim=1 h={g.h[0]!r}"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestSweepCommand:
     def test_yosida_lambda_sweep(self, tmp_path):
         dt = (1.0 / 32.0) ** 2 / 4.0
@@ -354,3 +453,14 @@ def test_load_state_field_picks_the_stored_snapshot(tmp_path):
     for t in (0.7, 5.0):
         with pytest.raises(KeyError):
             load_state_field(out, t=t)
+
+
+def test_perfbench_tracer_installs():
+    # the benchmark's tracer wraps package names by attribute; a rename breaks it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")])
+    code = ("import sys; sys.path.insert(0, 'perfbench'); import tracer; "
+            "tracer.install(tracer.Tracer())")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -54,12 +54,9 @@ def corrupted(traj):
     clone = copy.copy(traj)
     clone.diag = traj.diag.copy()
     clone.snapshots = [Field(traj.grid, s.values.copy()) for s in traj.snapshots]
-    if traj.step_min_increment is not None:
-        clone.step_min_increment = traj.step_min_increment.copy()
-    if traj.obstacle_gap_min is not None:
-        clone.obstacle_gap_min = traj.obstacle_gap_min.copy()
-    if traj.du_dt_l2 is not None:
-        clone.du_dt_l2 = traj.du_dt_l2.copy()
+    clone.step_min_increment = traj.step_min_increment.copy()
+    clone.obstacle_gap_min = traj.obstacle_gap_min.copy()
+    clone.du_dt_l2 = traj.du_dt_l2.copy()
     return clone
 
 
@@ -78,11 +75,12 @@ class TestMonotone:
         assert rep.location == pytest.approx(float(bad.times[4]))
 
     def test_snapshot_fallback_detects_decrease(self, abs_edge_traj):
+        # the per-step series are intact; only the stored snapshot pairs show it
         bad = corrupted(abs_edge_traj)
-        bad.step_min_increment = None
-        bad.obstacle_gap_min = None
         bad.snapshots[5].values[10] -= 1.0
-        assert not check_monotone(bad).passed
+        rep = check_monotone(bad)
+        assert not rep.passed
+        assert rep.location == pytest.approx(float(bad.snapshot_times[5]))
 
 
 class TestEnergyDecrease:

@@ -278,7 +278,9 @@ class TestFieldCsv:
         "# grid dim=1 n=3 h=0.5\n-0.5,0,0.1\n0.0,0,0.2\n0.5,0,0.4\n",  # three columns
         "-0.5,0.1\n0.0,0.2\n0.5,0.4\n",  # no header
         "# grid dim=1 n=3 h=0.5\n-0.5,0.1\n0.0,nan\n0.5,0.4\n",  # NaN value
-    ], ids=["ragged", "columns", "header", "nan"])
+        "# grid dim=1 h=0.5\n-0.5,0.1\n0.0,0.2\n0.5,0.4\n",  # header without n
+        "# grid dim=1 n=three h=0.5\n-0.5,0.1\n0.0,0.2\n0.5,0.4\n",  # n not a number
+    ], ids=["ragged", "columns", "header", "nan", "header_key", "header_value"])
     def test_malformed_file_rejected_naming_path(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)
