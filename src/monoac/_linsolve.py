@@ -19,7 +19,11 @@ from .grid import Grid, lap_array
 
 
 class LinearSolveError(RuntimeError):
-    pass
+    """A solve failed; ``row`` is the failing system of a batch, when it is known."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 def apply_shifted(g: Grid, diag: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -28,42 +32,59 @@ def apply_shifted(g: Grid, diag: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def solve_shifted(g: Grid, diag, rhs: np.ndarray, fixed: np.ndarray | None = None,
                   rtol: float = 1e-12) -> np.ndarray:
-    """Solve (diag(d) - lap) x = rhs with x = 0 on the fixed nodes."""
+    """Solve (diag(d) - lap) x = rhs with x = 0 on the fixed nodes.
+
+    A (B, n) rhs, with diag and fixed alike, holds B independent systems.
+    """
     d = np.empty(rhs.shape)
     d[...] = diag
     if g.dim == 1:
         return _solve_banded_1d(g, d, rhs, fixed)
-    return _solve_cg(g, d, rhs, fixed, rtol=rtol)
+    if rhs.ndim == 1:
+        return _solve_cg(g, d, rhs, fixed, rtol=rtol)
+    x = np.empty(rhs.shape)
+    for i in range(len(rhs)):
+        try:
+            x[i] = _solve_cg(g, d[i], rhs[i], None if fixed is None else fixed[i], rtol=rtol)
+        except LinearSolveError as exc:
+            exc.row = i
+            raise
+    return x
 
 
 def _solve_banded_1d(g: Grid, d: np.ndarray, rhs: np.ndarray,
                      fixed: np.ndarray | None) -> np.ndarray:
-    # d is a private copy: it becomes the main diagonal in place
+    # d is a private copy: it becomes the main diagonal in place.  A batch is one
+    # block-diagonal system: no coupling crosses rows, so each solves as if alone
     n = g.n_nodes
+    d = d.reshape(-1)
+    size = d.size
     inv_h2 = 1.0 / (g.h[0] * g.h[0])
     d += 2.0 * inv_h2
-    dl = np.empty(n - 1)
+    dl = np.empty(size - 1)
     dl.fill(-inv_h2)
+    dl[n - 1::n] = 0.0
     du = dl.copy()
-    b = rhs.copy()
+    b = rhs.reshape(-1).copy()
     if fixed is not None and fixed.any():
-        idx = np.nonzero(fixed)[0]
+        idx = np.flatnonzero(fixed)
         d[idx] = 1.0
         b[idx] = 0.0
         # identity rows: cut every coupling into and out of a fixed node
         # (the fixed value is 0, so the column cut only tidies the matrix)
-        cut = np.concatenate((idx[idx > 0] - 1, idx[idx < n - 1]))
+        cut = np.concatenate((idx[idx > 0] - 1, idx[idx < size - 1]))
         dl[cut] = 0.0
         du[cut] = 0.0
-    if n == 1:  # dgtsv wants at least one off-diagonal entry
+    if size == 1:  # dgtsv wants at least one off-diagonal entry
         if d[0] == 0.0:
-            raise LinearSolveError("tridiagonal solve failed: singular 1x1 system")
-        return b / d
+            raise LinearSolveError("tridiagonal solve failed: singular 1x1 system", row=0)
+        return (b / d).reshape(rhs.shape)
     _, _, _, x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
                              overwrite_b=1)
-    if info != 0:
-        raise LinearSolveError(f"tridiagonal solve failed (LAPACK dgtsv info={info})")
-    return x
+    if info != 0:  # info > 0: the 1-based index of a zero pivot
+        raise LinearSolveError(f"tridiagonal solve failed (LAPACK dgtsv info={info})",
+                               row=(info - 1) // n if info > 0 else None)
+    return x.reshape(rhs.shape)
 
 
 def _solve_cg(g: Grid, d: np.ndarray, rhs: np.ndarray, fixed: np.ndarray | None,

@@ -27,6 +27,7 @@ from .config import (
     _require_keys,
     default_stride,
     load_json,
+    number,
     parse_domain,
     parse_initial,
     parse_model,
@@ -152,8 +153,8 @@ def cmd_eigen(args) -> int:
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"]) if "model" in doc else ModelParams(kappa=1.0)
     V = _parse_potential(doc["potential"], g, p)
-    tol = float(doc.get("tol", 1e-9))
-    max_iter = int(doc.get("max_iter", 500))
+    tol = number(doc.get("tol", 1e-9), "tol")
+    max_iter = number(doc.get("max_iter", 500), "max_iter", int)
     try:
         result = min_eig(g, V, tol=tol, max_iter=max_iter)
     except EigenError as exc:
@@ -204,7 +205,7 @@ def cmd_equilibrium(args) -> int:
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"])
     u0 = parse_initial(doc["obstacle"], g, p)
-    tol = float(doc.get("tol", 1e-6))
+    tol = number(doc.get("tol", 1e-6), "tol")
     warm_section = doc["warm_start"]
     _require_keys(warm_section, "warm_start", (), ("trajectory", "csv", "run"))
     try:
@@ -214,7 +215,8 @@ def cmd_equilibrium(args) -> int:
             warm = read_field_csv(warm_section["csv"], grid=g)
         elif "run" in warm_section:
             section = dict(warm_section["run"])
-            stride = int(section.pop("snapshot_stride", 0)) or default_stride(section, 10)
+            stride = (number(section.pop("snapshot_stride", 0), "warm_start: run: snapshot_stride",
+                             int) or default_stride(section, 10))
             cfg = parse_solver(section, g, p, stride)
             traj = run(g, u0, p, cfg)
             warm = traj.final_state()
@@ -275,29 +277,31 @@ def _sweep_yosida(args, doc) -> int:
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"])
     u0 = parse_initial(doc["initial"], g, p)
-    lambdas = [float(x) for x in doc["lambdas"]]
+    if not isinstance(doc["lambdas"], list) or not doc["lambdas"]:
+        raise ConfigError("lambdas: expected a non-empty list")
+    lambdas = [number(x, "lambdas") for x in doc["lambdas"]]
     base = dict(doc["base_solver"])
     base.setdefault("scheme", "yosida")
-    stride = int(base.pop("snapshot_stride", 1))
+    stride = number(base.pop("snapshot_stride", 1), "base_solver: snapshot_stride", int)
     ref_section = dict(doc["reference_solver"])
     ref_section.setdefault("scheme", "implicit_obstacle")
-    ref_stride = int(ref_section.pop("snapshot_stride", 1))
+    ref_stride = number(ref_section.pop("snapshot_stride", 1),
+                        "reference_solver: snapshot_stride", int)
     ref_cfg = parse_solver(ref_section, g, p, ref_stride)
     outdir = args.out or (doc.get("outputs") or {}).get("directory")
 
+    # the members differ in yosida_lambda only, so they step as one ensemble
+    cfgs = [parse_solver({**base, "yosida_lambda": lam}, g, p, stride) for lam in lambdas]
     try:
-        trajs = []
-        for lam in lambdas:
-            cfg = parse_solver({**base, "yosida_lambda": lam}, g, p, stride)
-            trajs.append(run(g, u0, p, cfg))
-            if outdir:
-                runio.write_trajectory(trajs[-1], os.path.join(outdir, f"lambda_{lam!r}"),
-                                       config_echo={**doc, "member_lambda": lam})
+        trajs = run(g, [u0] * len(cfgs), p, cfgs)
         ref = run(g, u0, p, ref_cfg)
     except (SolverError, ValueError) as exc:
         print(f"sweep member failure: {exc}", file=sys.stderr)
         return 7
     if outdir:
+        for lam, traj in zip(lambdas, trajs):
+            runio.write_trajectory(traj, os.path.join(outdir, f"lambda_{lam!r}"),
+                                   config_echo={**doc, "member_lambda": lam})
         runio.write_trajectory(ref, os.path.join(outdir, "reference"), config_echo=doc)
     errors = [diagnostics.snapshot_error(traj, ref)[0] for traj in trajs]
     decreasing = all(b < a for a, b in zip(errors, errors[1:])) or max(errors) <= 1e-12
@@ -314,10 +318,10 @@ def _sweep_family(args, doc) -> int:
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"])
     initials = [parse_initial(section, g, p) for section in doc["presets"]]
-    stride = int(doc["solver"].get("snapshot_stride", 0)) or 1
+    stride = number(doc["solver"].get("snapshot_stride", 0), "solver: snapshot_stride", int) or 1
     solver_section = {k: v for k, v in doc["solver"].items() if k != "snapshot_stride"}
     cfg = parse_solver(solver_section, g, p, stride)
-    margin = float(doc.get("margin", 1.0))
+    margin = number(doc.get("margin", 1.0), "margin")
     outdir = args.out or (doc.get("outputs") or {}).get("directory")
 
     try:

@@ -16,7 +16,7 @@ from .steppers import SolverConfig
 
 __all__ = ["ConfigError", "RunSetup", "load_json", "parse_run_config",
            "parse_domain", "parse_model", "parse_initial", "parse_solver",
-           "default_stride"]
+           "default_stride", "number"]
 
 
 class ConfigError(ValueError):
@@ -34,6 +34,14 @@ def load_json(path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc
+
+
+def number(value, where: str, kind=float):
+    """kind(value) for a numeric config entry; ConfigError naming `where` if that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
 
 
 def _require_keys(section: dict, where: str, required, optional=()):
@@ -127,7 +135,7 @@ def _parse_outputs(section, solver_section):
     stride = section.get("stride")
     if stride is None:
         stride = default_stride(solver_section, 100)
-    stride = int(stride)
+    stride = number(stride, "outputs: stride", int)
     if stride < 1:
         raise ConfigError("outputs: stride must be >= 1")
     return section["directory"], stride

@@ -309,8 +309,9 @@ def check_yosida_convergence(g, u0: Field, p: ModelParams, base_cfg: SolverConfi
                              zero_floor: float = 1e-12) -> CheckReport:
     """Errors against an implicit reference shrink as the regularization does.
 
-    Runs one regularized trajectory per lambda (strictly decreasing sequence)
-    and compares each to the reference at the common snapshot times.
+    Runs one regularized trajectory per lambda (strictly decreasing sequence),
+    all as one ensemble, and compares each to the reference at the common
+    snapshot times.
     """
     lambdas = list(lambdas)
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
@@ -321,13 +322,14 @@ def check_yosida_convergence(g, u0: Field, p: ModelParams, base_cfg: SolverConfi
             splitting="convex_split",
             snapshot_stride=max(1, base_cfg.snapshot_stride // 16),
         )
+    cfgs = [SolverConfig(scheme="yosida", dt=base_cfg.dt, t_end=base_cfg.t_end,
+                         yosida_lambda=lam, newton_tol=base_cfg.newton_tol,
+                         snapshot_stride=base_cfg.snapshot_stride) for lam in lambdas]
+    trajs = run(g, [u0] * len(cfgs), p, cfgs)  # one ensemble for every lambda
     ref = run(g, u0, p, reference_cfg)
     errors = []
-    for lam in lambdas:
-        cfg = SolverConfig(scheme="yosida", dt=base_cfg.dt, t_end=base_cfg.t_end,
-                           yosida_lambda=lam, newton_tol=base_cfg.newton_tol,
-                           snapshot_stride=base_cfg.snapshot_stride)
-        err, matched = snapshot_error(run(g, u0, p, cfg), ref)
+    for traj in trajs:
+        err, matched = snapshot_error(traj, ref)
         if matched == 0:
             raise ValueError("no common sample times between the sweeps and the reference")
         errors.append(err)

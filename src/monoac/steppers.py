@@ -13,7 +13,7 @@ diagnostics of every step and full field snapshots on a stride.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -48,15 +48,17 @@ SPLITTINGS = ("convex_split", "fully_implicit")
 # memory of a sweep stays below that of per-step rows
 DIAG_BLOCK = 256
 _BLOCK_BYTES = 1 << 16
+_FAST_FORWARD = True  # run() skips fixed points; off only to test the rows it fills in
 
 
 class SolverError(RuntimeError):
-    """An inner solve failed; carries the partial trajectory when one exists."""
+    """An inner solve failed; carries the partial trajectory and the failing row when known."""
 
-    def __init__(self, message, trajectory=None, report=None):
+    def __init__(self, message, trajectory=None, report=None, member=None):
         super().__init__(message)
         self.trajectory = trajectory
         self.report = report
+        self.member = member
 
 
 def cfl_limit(g: Grid) -> float:
@@ -213,38 +215,58 @@ def step_implicit_obstacle(g: Grid, u_prev: Field, p: ModelParams, dt: float,
     return Field(g, u_next), eta_hat
 
 
-def _resolvent_raw(g: Grid, v: np.ndarray, lam: float, tol: float,
+def _resolvent_raw(g: Grid, v: np.ndarray, lam: np.ndarray, tol: float,
                    max_iter: int, w0: np.ndarray | None = None) -> np.ndarray:
-    """Newton solve of w + lam*(-lap w + w^3) = v; the operator is monotone."""
-    w = v.copy() if w0 is None else w0.copy()
+    """Newton solve of w + lam*(-lap w + w^3) = v per row of a (B, n) v; monotone.
 
-    def res(x):
+    lam is shaped like v, each row full of its lambda (numpy broadcasts a column
+    slower).  Newton runs on the rows above tol, their systems solved as one
+    batch; each row halves its line-search step until its residual drops.
+    """
+    def res(x, lam, v):
         return x + lam * (x * x * x - lap_array(g, x)) - v
 
-    r = res(w)
-    norm = float(np.max(np.abs(r)))
-    for _ in range(max_iter):
-        if norm <= tol:
+    w = (v if w0 is None else w0).copy()
+    r = res(w, lam, v)
+    norm = np.abs(r).max(axis=-1)
+    for it in range(max_iter + 1):
+        # row bookkeeping in Python lists: at a few rows it beats array calls
+        todo = [i for i, x in enumerate(norm.tolist()) if not x <= tol]  # NaN iterates, and fails
+        if not todo:
             return w
-        diag = 1.0 / lam + 3.0 * w * w
+        if it == max_iter:
+            raise SolverError(f"resolvent Newton stopped at residual {norm[todo[0]]:.3e} > "
+                              f"{tol:.1e}", member=todo[0])
+        if len(todo) == len(w):  # every row iterates: no copies
+            rows, wa, ra, la, va = None, w, r, lam, v
+        else:
+            rows = np.array(todo)
+            wa, ra, la, va = w[rows], r[rows], lam[rows], v[rows]
         try:
-            delta = solve_shifted(g, diag, -r / lam)
+            delta = solve_shifted(g, 1.0 / la + 3.0 * wa * wa, -ra / la)
         except LinearSolveError as exc:
-            raise SolverError(f"resolvent linear solve failed: {exc}") from exc
+            raise SolverError(f"resolvent linear solve failed: {exc}",
+                              member=todo[exc.row or 0]) from exc
         step = 1.0
-        while step > 1e-12:
-            trial = w + step * delta
-            tr = res(trial)
-            tn = float(np.max(np.abs(tr)))
-            if tn < norm:
-                w, r, norm = trial, tr, tn
+        while True:
+            trial = wa + step * delta
+            tr = res(trial, la, va)
+            tn = np.abs(tr).max(axis=-1)
+            better = tn < (norm if rows is None else norm[rows])
+            if rows is None:
+                if all(better.tolist()):
+                    w, r, norm = trial, tr, tn
+                    break
+                rows = np.arange(len(w))
+            done = rows[better]
+            w[done], r[done], norm[done] = trial[better], tr[better], tn[better]
+            keep = ~better
+            rows, wa, la, va, delta = rows[keep], wa[keep], la[keep], va[keep], delta[keep]
+            if not len(rows):
                 break
             step *= 0.5
-        else:
-            raise SolverError("resolvent Newton line search exhausted")
-    if norm > tol:
-        raise SolverError(f"resolvent Newton stopped at residual {norm:.3e} > {tol:.1e}")
-    return w
+            if not step > 1e-12:
+                raise SolverError("resolvent Newton line search exhausted", member=int(rows[0]))
 
 
 def resolvent_jlambda(g: Grid, v: Field, lam: float, newton_tol: float = 1e-10,
@@ -252,7 +274,8 @@ def resolvent_jlambda(g: Grid, v: Field, lam: float, newton_tol: float = 1e-10,
     """Resolve w + lam*(-lap w + w^3) = v; unique by monotonicity."""
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    return Field(g, _resolvent_raw(g, v.values, lam, newton_tol, newton_max_iter))
+    return Field(g, _resolvent_raw(g, v.values[None], np.full((1, g.n_nodes), lam), newton_tol,
+                                   newton_max_iter)[0])
 
 
 def yosida_rhs(g: Grid, u: Field, p: ModelParams, lam: float,
@@ -262,7 +285,7 @@ def yosida_rhs(g: Grid, u: Field, p: ModelParams, lam: float,
     (u - w)/lam equals -lap(w) + w^3 exactly at the solve, but evaluating it
     this way avoids re-amplifying the Newton tolerance through the stencil.
     """
-    w = _resolvent_raw(g, u.values, lam, newton_tol, 50)
+    w = _resolvent_raw(g, u.values[None], np.full((1, g.n_nodes), lam), newton_tol, 50)[0]
     rate = p.kappa * u.values - (u.values - w) / lam
     return Field(g, np.maximum(rate, 0.0))
 
@@ -276,14 +299,22 @@ def step_yosida(g: Grid, u: Field, p: ModelParams, dt: float, lam: float,
     return Field(g, u.values + dt * rate.values)
 
 
-def run(g: Grid, u0, p: ModelParams, cfg: SolverConfig):
+def run(g: Grid, u0, p: ModelParams, cfg):
     """Integrate from t = 0 to t_end, recording diagnostics every step.
 
     u0 is one Field, or a sequence of Fields on g: an ensemble of members that
-    share the grid, the parameters and the solver config.  The members advance
+    share the grid and the parameters.  cfg is one SolverConfig for every
+    member, or a sequence with one per member that may differ in yosida_lambda
+    only; each Trajectory carries its member's config.  The members advance
     together as the rows of one (B, n) array, so per-step overhead is paid once
     per step rather than once per member; a single Field is the B = 1 case.
     Returns one Trajectory, or a list with one per member.
+
+    A member whose step moves no node (u_next == u bitwise) is at a fixed point:
+    a step depends on u alone (yosida's warm start then meets tol after zero
+    iterations), so every later step repeats it.  Such a member is no longer
+    stepped, its later rows are filled in as copies (t from times), and the
+    loop ends once no member moves.
 
     The eta column of the diagnostics always comes from the instantaneous
     state (eta = min(r, 0)), independent of the scheme; the implicit scheme
@@ -296,12 +327,22 @@ def run(g: Grid, u0, p: ModelParams, cfg: SolverConfig):
         raise ValueError("empty ensemble")
     if any(m.grid != g for m in members):
         raise ValueError("initial field is not on the given grid")
-    cfg.validate(g, p)
+    configs = [cfg] * len(members) if isinstance(cfg, SolverConfig) else list(cfg)
+    cfg = configs[0]
+    if len(configs) != len(members) or any(
+            replace(c, yosida_lambda=cfg.yosida_lambda) != cfg for c in configs):
+        raise ValueError("give one solver config, or one per member differing in "
+                         "yosida_lambda only")
+    for c in configs:
+        c.validate(g, p)
     n_steps = cfg.n_steps()
     dt = cfg.dt
     implicit = cfg.scheme == "implicit_obstacle"
     n_members = len(members)
-    u = np.stack([m.values for m in members])
+    u = np.stack([m.values for m in members])  # the moving members' states, one row each
+    active = np.arange(n_members)  # the member of each row of u
+    rows = slice(None)  # indexes the members' arrays by row of u: a view until a freeze
+    frozen = {}  # member -> (first step it skipped, its state)
     w_cell = g.cell_volume
 
     times = dt * np.arange(n_steps + 1)
@@ -330,13 +371,20 @@ def run(g: Grid, u0, p: ModelParams, cfg: SolverConfig):
             return
         stop = flushed + pending
         uv, r = states[:pending], resids[:pending]
-        rows = _snapshot_values(g, uv, p, times[flushed:stop, None], r=r)
-        diag[:, flushed:stop] = rows.swapaxes(0, 1)
-        res_l2sq[:, flushed:stop] = (w_cell * (r * r).sum(axis=-1)).T
-        for b, m in enumerate(members):
-            gap_min[b, flushed:stop] = (uv[:, b] - m.values).min(axis=-1)
+        values = _snapshot_values(g, uv, p, times[flushed:stop, None], r=r)
+        diag[rows, flushed:stop] = values.swapaxes(0, 1)
+        res_l2sq[rows, flushed:stop] = (w_cell * (r * r).sum(axis=-1)).T
+        for i, b in enumerate(active):
+            gap_min[b, flushed:stop] = (uv[:, i] - members[b].values).min(axis=-1)
         flushed = stop
         pending = 0
+
+    def snapshot(k: int, uv: np.ndarray):
+        for i, b in enumerate(active):
+            snapshots[b].append(Field(g, uv[i].copy()))
+        for b, (_, state) in frozen.items():
+            snapshots[b].append(Field(g, state.copy()))
+        snap_times.append(float(times[k]))
 
     def record(k: int, uv: np.ndarray, r: np.ndarray):
         nonlocal pending
@@ -344,15 +392,22 @@ def run(g: Grid, u0, p: ModelParams, cfg: SolverConfig):
         resids[pending] = r
         pending += 1
         if k % cfg.snapshot_stride == 0 or k == n_steps:
-            for b in range(n_members):
-                snapshots[b].append(Field(g, uv[b].copy()))
-            snap_times.append(float(times[k]))
+            snapshot(k, uv)
         if pending == block or k == n_steps:
             flush()
 
     def trajectory(b: int, k: int, failure: dict | None = None) -> Trajectory:
+        f = frozen.get(b, (k,))[0]
+        if f < k:  # fill in the rows of the skipped steps
+            for a in (diag, res_l2sq, gap_min):
+                a[b, f + 1:k + 1] = a[b, f]
+            diag[b, f + 1:k + 1, SNAPSHOT_COLUMNS.index("t")] = times[f + 1:k + 1]
+            for a in (du_dt_l2, min_inc, inner) + (() if eta_gap is None else (eta_gap,)):
+                a[b, f:k] = a[b, f - 1]
+            if multipliers is not None:
+                multipliers[b] += [multipliers[b][-1]] * (k - len(multipliers[b]))
         return Trajectory(
-            grid=g, params=p, config=cfg, u0=members[b],
+            grid=g, params=p, config=configs[b], u0=members[b],
             times=times[: k + 1], diag=diag[b, : k + 1],
             res_l2sq=res_l2sq[b, : k + 1], obstacle_gap_min=gap_min[b, : k + 1],
             du_dt_l2=du_dt_l2[b, :k], step_min_increment=min_inc[b, :k],
@@ -370,46 +425,67 @@ def run(g: Grid, u0, p: ModelParams, cfg: SolverConfig):
         partial = trajectory(b, k, {"step": k, "message": detail})
         return SolverError(message, trajectory=partial, report=report)
 
-    w_warm = np.empty_like(u) if cfg.scheme == "yosida" else None  # resolvent warm starts
+    if cfg.scheme == "yosida":  # each row's lambda and resolvent warm start
+        lam = np.array([np.full(g.n_nodes, c.yosida_lambda) for c in configs])
+        w_warm = u
+    stopped = None  # per row: its last step moved no node (None: some node moved in each)
     for k in range(n_steps + 1):
         r = residual_array(g, u, p)
         if pending_eta_hat is not None:
             eta_now = np.minimum(r, 0.0)
-            eta_gap[:, k - 1] = np.sqrt(w_cell * np.sum((pending_eta_hat - eta_now) ** 2,
-                                                        axis=-1))
+            eta_gap[rows, k - 1] = np.sqrt(w_cell * np.sum((pending_eta_hat - eta_now) ** 2,
+                                                           axis=-1))
             pending_eta_hat = None
         record(k, u, r)
         if k == n_steps:
             break
+        if stopped is not None and stopped.any():  # freeze the members that did not move
+            flush()
+            frozen.update((int(b), (k, state)) for b, state in zip(active[stopped], u[stopped]))
+            moved = ~stopped
+            u, r, active = u[moved], r[moved], active[moved]
+            if cfg.scheme == "yosida":
+                lam, w_warm = lam[moved], w_warm[moved]
+            if not len(active):
+                break
+            rows = active
+            states, resids = states[:, moved], resids[:, moved]
+        i = 0  # the row being stepped
         try:
             if cfg.scheme == "explicit":
                 u_next = u + dt * np.maximum(r, 0.0)
             elif cfg.scheme == "yosida":
-                for b in range(n_members):
-                    w_warm[b] = _resolvent_raw(g, u[b], cfg.yosida_lambda, cfg.newton_tol,
-                                               cfg.newton_max_iter, w0=w_warm[b] if k else None)
-                rate = np.maximum(p.kappa * u - (u - w_warm) / cfg.yosida_lambda, 0.0)
+                w_warm = _resolvent_raw(g, u, lam, cfg.newton_tol, cfg.newton_max_iter, w0=w_warm)
+                rate = np.maximum(p.kappa * u - (u - w_warm) / lam, 0.0)
                 u_next = u + dt * rate
             else:
                 u_next = np.empty_like(u)
-                for b in range(n_members):
-                    u_next[b], ef, inner[b, k] = _implicit_step(
-                        g, u[b], p, dt, cfg.splitting,
+                for i, b in enumerate(active):
+                    u_next[i], ef, inner[b, k] = _implicit_step(
+                        g, u[i], p, dt, cfg.splitting,
                         newton_tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter,
                         pgs_tol=cfg.pgs_tol, pgs_max_iter=cfg.pgs_max_iter,
                     )
                     multipliers[b].append(ef)
-                pending_eta_hat = np.stack([m[-1].values for m in multipliers])
-        except SolverError as exc:  # b is the member being stepped
+                pending_eta_hat = np.stack([multipliers[b][-1].values for b in active])
+        except SolverError as exc:
+            b = int(active[i if exc.member is None else exc.member])
             raise fail(b, k, str(exc), str(exc), report=exc.report) from exc
         delta = u_next - u
-        min_inc[:, k] = delta.min(axis=-1)
-        du_dt_l2[:, k] = np.sqrt(w_cell * (delta * delta).sum(axis=-1)) / dt
-        finite = np.isfinite(du_dt_l2[:, k])
+        min_inc[rows, k] = delta.min(axis=-1)
+        rate_l2 = np.sqrt(w_cell * (delta * delta).sum(axis=-1)) / dt
+        du_dt_l2[rows, k] = rate_l2
+        finite = np.isfinite(rate_l2)
         if not finite.all():
-            raise fail(int(np.argmin(finite)), k, f"state left the finite range at step {k}",
-                       "non-finite state")
+            raise fail(int(active[np.argmin(finite)]), k,
+                       f"state left the finite range at step {k}", "non-finite state")
+        # only a zero rate norm can mean that no node moved (or it underflowed)
+        stopped = ~delta.any(axis=-1) if _FAST_FORWARD and 0.0 in rate_l2.tolist() else None
         u = u_next
 
+    if k < n_steps:  # every member stopped moving: take the snapshots still due
+        later = np.arange(k + 1, n_steps + 1)
+        for j in later[(later % cfg.snapshot_stride == 0) | (later == n_steps)]:
+            snapshot(j, u)
     trajs = [trajectory(b, n_steps) for b in range(n_members)]
     return trajs[0] if single else trajs

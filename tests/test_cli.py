@@ -113,6 +113,12 @@ class TestRunCommand:
             del doc["outputs"]["stride"]
         assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
 
+    def test_stride_not_a_number_exits_2(self, tmp_path, capsys):
+        doc = run_config(tmp_path)
+        doc["outputs"]["stride"] = "ten"
+        assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+        assert "outputs: stride" in capsys.readouterr().err
+
     def test_initial_csv_with_malformed_header_exits_2(self, tmp_path):
         path = malformed_header_csv(tmp_path, make_grid(1, (-1, 1), 63))
         doc = run_config(tmp_path, initial={"csv": str(path)})
@@ -269,6 +275,13 @@ class TestEigenCommand:
         field = read_field_csv(tmp_path / "eig" / "eigenfield.csv")
         assert np.all(field.values >= -1e-12)
 
+    @pytest.mark.parametrize("key,value", [("tol", "tight"), ("max_iter", "many")])
+    def test_number_not_a_number_exits_2(self, tmp_path, capsys, key, value):
+        doc = {"domain": {"dim": 1, "endpoints": [0, 1], "n_interior": 15},
+               "potential": {"type": "zero"}, key: value}
+        assert main(["eigen", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+        assert key in capsys.readouterr().err
+
     def test_failure_exits_5(self, tmp_path):
         doc = {
             "domain": {"dim": 1, "endpoints": [0, 1], "n_interior": 31},
@@ -353,6 +366,29 @@ class TestEquilibriumCommand:
         assert main(["equilibrium", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
 
 
+    def test_run_warm_start_stride_not_a_number_exits_2(self, tmp_path, capsys):
+        doc = {
+            "domain": {"dim": 1, "endpoints": [0, 1], "n_interior": 31},
+            "model": {"kappa": 1.0},
+            "obstacle": {"preset": "supersolution", "c": 1.0},
+            "warm_start": {"run": {"scheme": "implicit_obstacle", "dt": 0.05, "t_end": 0.5,
+                                   "snapshot_stride": "abc"}},
+        }
+        assert main(["equilibrium", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+        assert "snapshot_stride" in capsys.readouterr().err
+
+    def test_tol_not_a_number_exits_2(self, tmp_path, capsys):
+        doc = {
+            "domain": {"dim": 1, "endpoints": [0, 1], "n_interior": 31},
+            "model": {"kappa": 1.0},
+            "obstacle": {"preset": "supersolution", "c": 1.0},
+            "warm_start": {"run": {"scheme": "implicit_obstacle", "dt": 0.05, "t_end": 0.5}},
+            "tol": "loose",
+        }
+        assert main(["equilibrium", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+        assert "tol" in capsys.readouterr().err
+
+
 def malformed_header_csv(tmp_path, g):
     """A field file on g whose grid header lacks the node count."""
     path = tmp_path / "no_n.csv"
@@ -361,6 +397,19 @@ def malformed_header_csv(tmp_path, g):
     lines[0] = f"# grid dim=1 h={g.h[0]!r}"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def yosida_sweep_doc():
+    dt = (1.0 / 32.0) ** 2 / 4.0
+    return {
+        "kind": "yosida_lambda",
+        "domain": {"dim": 1, "endpoints": [0, 1], "n_interior": 31},
+        "model": {"kappa": 1.0},
+        "initial": {"preset": "bump", "center": 0.5, "width": 0.3, "height": 0.4},
+        "base_solver": {"dt": dt, "t_end": 64 * dt, "snapshot_stride": 16},
+        "reference_solver": {"dt": 16 * dt, "t_end": 64 * dt, "snapshot_stride": 1},
+        "lambdas": [1e-1, 1e-2, 1e-3],
+    }
 
 
 class TestSweepCommand:
@@ -415,6 +464,34 @@ class TestSweepCommand:
             "lambdas": [1e-1],
         }
         assert main(["sweep", "--config", write_config(tmp_path, doc), "--quiet"]) == 7
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("base_solver", "snapshot_stride", "x"),
+        ("reference_solver", "snapshot_stride", "x"),
+        (None, "lambdas", [0.1, "x"]),
+        (None, "lambdas", 0.1),
+        (None, "lambdas", []),
+    ], ids=["base_solver_stride", "reference_solver_stride", "lambdas_entry", "lambdas_scalar",
+            "lambdas_empty"])
+    def test_yosida_sweep_malformed_numbers_exit_2(self, tmp_path, capsys, section, key,
+                                                      value):
+        doc = yosida_sweep_doc()
+        (doc if section is None else doc[section])[key] = value
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["snapshot_stride", "margin"])
+    def test_family_sweep_number_not_a_number_exits_2(self, tmp_path, capsys, key):
+        doc = {
+            "kind": "preset_family",
+            "domain": {"dim": 1, "endpoints": [-1, 1], "n_interior": 15},
+            "model": {"kappa": 1.0},
+            "presets": [{"preset": "zero"}, {"preset": "abs_edge"}],
+            "solver": {"scheme": "implicit_obstacle", "dt": 0.05, "t_end": 0.5},
+        }
+        (doc["solver"] if key == "snapshot_stride" else doc)[key] = "x"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+        assert key in capsys.readouterr().err
 
     def test_unknown_kind_exits_2(self, tmp_path):
         assert main(["sweep", "--config",

@@ -112,6 +112,41 @@ class TestSolveShifted1D:
             solve_shifted(g, -2.0 / g.h[0] ** 2, np.ones(n))
 
 
+class TestBatchedSolves:
+    @pytest.mark.parametrize("n", [2, 31])
+    @pytest.mark.parametrize("fixed_kind", ["none", "ends", "random30", "all"])
+    def test_1d_batch_equals_row_solves_bitwise(self, n, fixed_kind):
+        g = make_grid(1, (0, 1), n)
+        rng = np.random.default_rng(n)
+        shape = (4, n)
+        d = 1.0 / rng.uniform(1e-3, 1e-1, (4, 1)) + 3.0 * rng.standard_normal(shape) ** 2
+        rhs = rng.standard_normal(shape)
+        ends = np.zeros(shape, dtype=bool)
+        ends[:, [0, -1]] = True
+        fixed = {"none": None, "ends": ends, "random30": rng.random(shape) < 0.3,
+                 "all": np.ones(shape, dtype=bool)}[fixed_kind]
+        x = solve_shifted(g, d, rhs, fixed=fixed)
+        for i in range(4):
+            xi = solve_shifted(g, d[i], rhs[i], fixed=None if fixed is None else fixed[i])
+            assert x[i].tobytes() == xi.tobytes()
+
+    def test_2d_batch_equals_row_solves(self):
+        rng = np.random.default_rng(3)
+        d = 1.0 + rng.random((3, G.n_nodes))
+        rhs = rng.standard_normal((3, G.n_nodes))
+        x = solve_shifted(G, d, rhs)
+        for i in range(3):
+            assert x[i].tobytes() == solve_shifted(G, d[i], rhs[i]).tobytes()
+
+    @pytest.mark.parametrize("g", [make_grid(1, (0, 1), 3), G], ids=["1d", "2d"])
+    def test_failure_names_its_row(self, g):
+        d = np.ones((3, g.n_nodes))
+        d[1] = np.nan if g.dim == 2 else -2.0 / g.h[0] ** 2  # 1D: a singular row
+        with pytest.raises(LinearSolveError) as info:
+            solve_shifted(g, d, np.ones((3, g.n_nodes)))
+        assert info.value.row == 1
+
+
 class TestSolveShifted2DFailures:
     def test_unreachable_tolerance_stops_at_grid_scaled_cap(self):
         # a shift inside the spectrum of -lap: indefinite, so CG cannot converge

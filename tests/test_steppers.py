@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from monoac import (
     step_yosida,
 )
 from monoac import steppers
+from monoac.cli import main
 from monoac.model import residual_array
 from monoac.obstacle import ObstacleProblem, brute_force_obstacle
 from monoac.presets import make_initial
@@ -408,3 +412,273 @@ class TestEnsembleRun:
         assert len(run(g, [u0], P1, cfg)) == 1
         with pytest.raises(ValueError, match="empty"):
             run(g, [], P1, cfg)
+
+
+TRAJECTORY_ARRAYS = ("times", "diag", "res_l2sq", "obstacle_gap_min", "du_dt_l2",
+                     "step_min_increment", "inner_iterations", "snapshot_times",
+                     "eta_hat_gap_l2")
+
+
+def assert_bitwise(a, b):
+    """Every array of two trajectories equal bit for bit, snapshots and multipliers too."""
+    def same(x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.shape == y.shape and x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+    for name in TRAJECTORY_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            same(x, y)
+    assert len(a.snapshots) == len(b.snapshots)
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        same(sa.values, sb.values)
+    assert (a.multipliers is None) == (b.multipliers is None)
+    if a.multipliers is not None:
+        assert len(a.multipliers) == len(b.multipliers) == a.n_steps()
+        for ma, mb in zip(a.multipliers, b.multipliers):
+            same(ma.values, mb.values)
+    assert a.failure == b.failure
+
+
+LAMBDAS = (1e-1, 1e-2, 1e-3)
+
+
+def lambda_configs(g, n_steps=64, stride=16, **extra):
+    dt = cfl_limit(g) / 2
+    return [SolverConfig(scheme="yosida", dt=dt, t_end=n_steps * dt, snapshot_stride=stride,
+                         yosida_lambda=lam, **extra) for lam in LAMBDAS]
+
+
+def poison_solves(monkeypatch, lam, step):
+    """From `step` on, the resolvent's linear solves return NaN for the row at lam.
+
+    The row is told by its diagonal 1/lam + 3 w^2; steps are counted by the one
+    residual_array call that run() makes per recorded state, in the list returned.
+    """
+    real_residual, real_solve = steppers.residual_array, steppers.solve_shifted
+    states = []
+
+    def counting_residual(grid, v, p):
+        states.append(None)
+        return real_residual(grid, v, p)
+
+    def poisoned(grid, diag, rhs, *args, **kwargs):
+        x = real_solve(grid, diag, rhs, *args, **kwargs)
+        if len(states) > step:
+            x[np.abs(diag[:, 0] * lam - 1.0) < 0.1] = np.nan
+        return x
+
+    monkeypatch.setattr(steppers, "residual_array", counting_residual)
+    monkeypatch.setattr(steppers, "solve_shifted", poisoned)
+    return states
+
+
+class TestLambdaEnsemble:
+    def test_members_match_single_runs(self):
+        g = make_grid(1, (0, 1), 31)
+        u0 = make_initial("bump", g, P1, center=0.5, width=0.3, height=0.4)
+        cfgs = lambda_configs(g)
+        trajs = run(g, [u0] * len(cfgs), P1, cfgs)
+        for cfg, traj in zip(cfgs, trajs):
+            assert traj.config is cfg
+            assert_bitwise(traj, run(g, u0, P1, cfg))
+
+    def test_mixed_data_and_lambdas_match_single_runs(self):
+        g = make_grid(1, (-1, 1), 31)
+        members = ensemble_members(g)
+        cfgs = lambda_configs(g, n_steps=40, stride=7)
+        for u0, cfg, traj in zip(members, cfgs, run(g, members, P1, cfgs)):
+            assert_bitwise(traj, run(g, u0, P1, cfg))
+
+    @pytest.mark.parametrize("change", [{"dt": 1e-4}, {"newton_tol": 1e-9},
+                                        {"snapshot_stride": 3}, {"scheme": "explicit"}])
+    def test_configs_differing_beyond_lambda_rejected(self, change):
+        g = make_grid(1, (0, 1), 31)
+        u0 = make_initial("bump", g, P1, center=0.5, width=0.3, height=0.4)
+        cfgs = lambda_configs(g)
+        cfgs[1] = replace(cfgs[1], **change)
+        with pytest.raises(ValueError, match="yosida_lambda only"):
+            run(g, [u0] * 3, P1, cfgs)
+
+    def test_config_count_must_match_members(self):
+        g = make_grid(1, (0, 1), 31)
+        u0 = make_initial("bump", g, P1, center=0.5, width=0.3, height=0.4)
+        with pytest.raises(ValueError, match="yosida_lambda only"):
+            run(g, [u0, u0], P1, lambda_configs(g))
+
+    def test_member_resolvent_failure_names_member_and_keeps_partial(self, monkeypatch):
+        g = make_grid(1, (0, 1), 31)
+        u0 = make_initial("bump", g, P1, center=0.5, width=0.3, height=0.4)
+        cfgs = lambda_configs(g)
+        reference = run(g, u0, P1, cfgs[1])
+        poison_solves(monkeypatch, LAMBDAS[1], step=9)
+        with pytest.raises(SolverError, match=r"^member 1: resolvent Newton line search") as info:
+            run(g, [u0] * 3, P1, cfgs)
+        partial = info.value.trajectory
+        assert partial.config is cfgs[1]
+        assert partial.failure == {"step": 9,
+                                   "message": "resolvent Newton line search exhausted"}
+        assert partial.n_steps() == 9
+        for name in ("diag", "res_l2sq", "obstacle_gap_min"):
+            np.testing.assert_array_equal(getattr(partial, name),
+                                          getattr(reference, name)[:10])
+        for name in ("du_dt_l2", "step_min_increment"):
+            np.testing.assert_array_equal(getattr(partial, name), getattr(reference, name)[:9])
+
+    def test_member_resolvent_failure_exits_7_from_sweep(self, monkeypatch, tmp_path, capsys):
+        dt = (1.0 / 32.0) ** 2 / 4.0
+        doc = {
+            "kind": "yosida_lambda",
+            "domain": {"dim": 1, "endpoints": [0, 1], "n_interior": 31},
+            "model": {"kappa": 1.0},
+            "initial": {"preset": "bump", "center": 0.5, "width": 0.3, "height": 0.4},
+            "base_solver": {"dt": dt, "t_end": 64 * dt, "snapshot_stride": 16},
+            "reference_solver": {"dt": 16 * dt, "t_end": 64 * dt, "snapshot_stride": 1},
+            "lambdas": list(LAMBDAS),
+        }
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        poison_solves(monkeypatch, LAMBDAS[2], step=5)
+        assert main(["sweep", "--config", str(path), "--quiet"]) == 7
+        assert "member 2: resolvent Newton" in capsys.readouterr().err
+
+    def test_stepping_goes_through_the_traced_names(self, monkeypatch):
+        # the benchmark's per-layer view wraps these two names: stepping must call them
+        g = make_grid(1, (0, 1), 31)
+        u0 = make_initial("bump", g, P1, center=0.5, width=0.3, height=0.4)
+        cfgs = lambda_configs(g, n_steps=20)
+        calls = {"_resolvent_raw": 0, "solve_shifted": 0}
+        for name in calls:
+            real = getattr(steppers, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(steppers, name, counted)
+        run(g, [u0] * 3, P1, cfgs)
+        assert calls["_resolvent_raw"] == 20  # one batched call per step for all members
+        assert calls["solve_shifted"] >= 20
+
+
+def fast_forward_pair(monkeypatch, g, members, cfg):
+    """The same run with fixed points fast-forwarded and with every step taken."""
+    fast = run(g, members, P1, cfg)
+    monkeypatch.setattr(steppers, "_FAST_FORWARD", False)
+    stepped = run(g, members, P1, cfg)
+    monkeypatch.setattr(steppers, "_FAST_FORWARD", True)
+    return fast, stepped
+
+
+def fixed_point_members(g):
+    return [make_initial("zero", g, P1), make_initial("eigenfunction", g, P1, c=0.7),
+            make_initial("supersolution", g, P1, c=1.0)]
+
+
+class TestFastForward:
+    @pytest.mark.parametrize("scheme", ["explicit", "yosida", "implicit_obstacle"])
+    def test_fixed_points_equal_stepped_runs(self, monkeypatch, scheme):
+        g = make_grid(1, (0, 1), 31)
+        cfg = scheme_config(g, scheme, n_steps=50, stride=7)
+        for u0 in fixed_point_members(g):
+            fast, stepped = fast_forward_pair(monkeypatch, g, u0, cfg)
+            assert np.all(stepped.du_dt_l2 == 0.0)
+            assert_bitwise(fast, stepped)
+
+    @pytest.mark.parametrize("scheme", ["explicit", "yosida", "implicit_obstacle"])
+    def test_mixed_ensemble_equals_stepped_run(self, monkeypatch, scheme):
+        g = make_grid(1, (-1, 1), 31)
+        members = fixed_point_members(g) + ensemble_members(g)
+        cfg = scheme_config(g, scheme, n_steps=40, stride=6)
+        for fast, stepped in zip(*fast_forward_pair(monkeypatch, g, members, cfg)):
+            assert_bitwise(fast, stepped)
+
+    def test_lambda_ensemble_equals_stepped_run(self, monkeypatch):
+        g = make_grid(1, (0, 1), 31)
+        u0 = make_initial("supersolution", g, P1, c=1.0)
+        cfgs = lambda_configs(g, n_steps=30, stride=4)
+        for fast, stepped in zip(*fast_forward_pair(monkeypatch, g, [u0] * 3, cfgs)):
+            assert_bitwise(fast, stepped)
+
+    def test_member_that_stops_mid_run(self, monkeypatch):
+        # implicit steps reach the discrete stationary state exactly in finite time
+        g = make_grid(1, (0, 1), 63)
+        members = [make_initial("bump", g, P1, center=0.5, width=0.25, height=0.2),
+                   make_initial("bump", g, P1, center=0.4, width=0.3, height=0.5)]
+        cfg = SolverConfig(scheme="implicit_obstacle", dt=0.01, t_end=2.0, snapshot_stride=7)
+        real = steppers._implicit_step
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(steppers, "_implicit_step", counted)
+        fast = run(g, members, P1, cfg)
+        skipped = 2 * cfg.n_steps() - len(calls)
+        monkeypatch.setattr(steppers, "_FAST_FORWARD", False)
+        stepped = run(g, members, P1, cfg)
+        for a, b in zip(fast, stepped):
+            moving = np.flatnonzero(b.du_dt_l2)
+            assert 0 < moving[-1] < cfg.n_steps() - 1  # it stops moving mid-run
+            assert_bitwise(a, b)
+        assert skipped == sum(cfg.n_steps() - 2 - np.flatnonzero(b.du_dt_l2)[-1]
+                              for b in stepped)
+
+    def test_all_frozen_run_steps_once(self, monkeypatch):
+        g = make_grid(1, (0, 1), 63)
+        calls = []
+        real = steppers.residual_array
+
+        def counted(grid, v, p):
+            calls.append(None)
+            return real(grid, v, p)
+
+        monkeypatch.setattr(steppers, "residual_array", counted)
+        dt = cfl_limit(g) / 2
+        cfg = SolverConfig(scheme="explicit", dt=dt, t_end=1000 * dt, snapshot_stride=300)
+        trajs = run(g, fixed_point_members(g), P1, cfg)
+        assert len(calls) == 2  # the first step, then the state it left unchanged
+        for traj, u0 in zip(trajs, fixed_point_members(g)):
+            np.testing.assert_array_equal(traj.snapshot_times, cfg.dt * np.array(
+                [0, 300, 600, 900, 1000]))
+            assert all(np.array_equal(s.values, u0.values) for s in traj.snapshots)
+
+    @pytest.mark.parametrize("scheme", ["explicit", "yosida", "implicit_obstacle"])
+    def test_failure_after_a_freeze(self, monkeypatch, scheme):
+        # member 0 freezes after its first step, member 1 fails at step 10
+        g = make_grid(1, (-1, 1), 31)
+        members = [make_initial("zero", g, P1),
+                   make_initial("bump", g, P1, center=0.1, width=0.6, height=0.4)]
+        cfg = scheme_config(g, scheme, n_steps=30, stride=4)
+        real_residual, real_implicit = steppers.residual_array, steppers._implicit_step
+        states = []
+        if scheme == "yosida":  # poisons the solves from step 10 and counts the steps
+            states = poison_solves(monkeypatch, cfg.yosida_lambda, step=10)
+
+        def counting_residual(grid, v, p):
+            states.append(None)
+            r = real_residual(grid, v, p)
+            if scheme == "explicit" and len(states) == 11:  # the residual of step 10
+                r[np.any(v != 0.0, axis=-1), 5] = np.inf
+            return r
+
+        def failing_implicit(grid, u_prev, *args, **kwargs):
+            if len(states) == 11 and np.any(u_prev != 0.0):
+                raise SolverError("implicit step failed: forced")
+            return real_implicit(grid, u_prev, *args, **kwargs)
+
+        if scheme != "yosida":
+            monkeypatch.setattr(steppers, "residual_array", counting_residual)
+        monkeypatch.setattr(steppers, "_implicit_step", failing_implicit)
+        partials = []
+        for fast_forward in (True, False):
+            states.clear()
+            monkeypatch.setattr(steppers, "_FAST_FORWARD", fast_forward)
+            with pytest.raises(SolverError, match="^member 1: ") as info:
+                run(g, members, P1, cfg)
+            partials.append(info.value.trajectory)
+        assert partials[0].failure["step"] == 10
+        assert_bitwise(*partials)
