@@ -72,17 +72,36 @@ class Grid:
         return total
 
     @cached_property
+    def axis_eigenvalues(self) -> tuple[np.ndarray, ...]:
+        """Eigenvalues (4/h_a^2) sin^2(pi k / (2 (n_a + 1))), k = 1..n_a, of each axis's
+        negative 3-point stencil; mode k is the DST-I vector sin(pi j k / (n_a + 1))."""
+        return tuple((4.0 / (h * h)) * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
+                     for n, h in zip(self.n_interior, self.h))
+
+    @cached_property
     def lap_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the negative stencil Laplacian, shaped like the grid.
 
-        Mode k = (k_1, ..., k_dim) is the DST-I product of sin(pi j k_a / (n_a + 1))
-        over the axes, with eigenvalue sum_a (4/h_a^2) sin^2(pi k_a / (2 (n_a + 1))).
+        Mode k = (k_1, ..., k_dim) is the product of the axes' DST-I modes, with
+        eigenvalue the sum of their ``axis_eigenvalues``.
         """
         total = np.zeros(self.shape)
-        for a, (n, h) in enumerate(zip(self.n_interior, self.h)):
-            lam = (4.0 / (h * h)) * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
-            total += lam.reshape([n if b == a else 1 for b in range(self.dim)])
+        for a, lam in enumerate(self.axis_eigenvalues):
+            total += lam.reshape([len(lam) if b == a else 1 for b in range(self.dim)])
         return total
+
+    @cached_property
+    def sine_basis(self) -> tuple[np.ndarray, ...]:
+        """Orthonormal DST-I matrix of each axis.
+
+        S_a[j, k] = sqrt(2 / (n_a + 1)) sin(pi (j + 1) (k + 1) / (n_a + 1)) is symmetric
+        and its own inverse; in 2D, S_0 @ (lap_eigenvalues * (S_0 @ V @ S_1)) @ S_1 is -lap V.
+        """
+        out = []
+        for n in self.n_interior:
+            k = np.arange(1, n + 1)
+            out.append(np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1)))
+        return tuple(out)
 
     @cached_property
     def csv_header(self) -> str:
@@ -180,15 +199,24 @@ def lap_array(g: Grid, a: np.ndarray) -> np.ndarray:
         out[..., 1:] += a[..., :-1]
         out[..., :-1] += a[..., 1:]
         return out / h2
-    v = a.reshape(a.shape[:-1] + g.shape)
-    h1sq = g.h[0] * g.h[0]
-    h2sq = g.h[1] * g.h[1]
-    out = (-2.0 / h1sq - 2.0 / h2sq) * v
-    out[..., 1:, :] += v[..., :-1, :] / h1sq
-    out[..., :-1, :] += v[..., 1:, :] / h1sq
-    out[..., :, 1:] += v[..., :, :-1] / h2sq
-    out[..., :, :-1] += v[..., :, 1:] / h2sq
-    return out.reshape(a.shape)
+    inv0 = 1.0 / (g.h[0] * g.h[0])
+    inv1 = 1.0 / (g.h[1] * g.h[1])
+    n1 = g.shape[1]
+    out = (-2.0 * inv0 - 2.0 * inv1) * a
+    # neighbour values, scaled once per axis, added as contiguous shifts of the flat nodes
+    nb = a * inv0
+    out[..., n1:] += nb[..., :-n1]
+    out[..., :-n1] += nb[..., n1:]
+    np.multiply(a, inv1, out=nb)
+    # along axis 1 a flat shift wraps across grid rows: zero the column it wraps from
+    cols = nb.reshape(a.shape[:-1] + g.shape)
+    last = cols[..., -1].copy()
+    cols[..., -1] = 0.0
+    out[..., 1:] += nb[..., :-1]
+    cols[..., -1] = last
+    cols[..., 0] = 0.0
+    out[..., :-1] += nb[..., 1:]
+    return out
 
 
 def laplacian(g: Grid, u: Field) -> Field:

@@ -303,3 +303,37 @@ def test_stacked_input_matches_row_by_row(dims):
     for idx in np.ndindex(*v.shape[:-1]):
         np.testing.assert_array_equal(lap[idx], lap_array(g, v[idx]))
         assert grad_sq[idx] == h1_grad_sq(g, v[idx])
+
+
+@pytest.mark.parametrize("dims", [(23, 17), (5, 1), (1, 5)])
+def test_2d_stencil_matches_kronecker_assembly(dims):
+    # unequal spacings that are not powers of two; on a one-node-wide axis 1 every
+    # flat shift along that axis wraps across grid rows
+    g = make_grid(2, ((0, 2), (0, 0.7)), dims)
+    lap = 0.0
+    for a, (n, h) in enumerate(zip(g.n_interior, g.h)):
+        factors = [np.eye(m) for m in g.n_interior]
+        factors[a] = (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)) / (h * h)
+        lap = lap + np.kron(*factors)
+    v = np.random.default_rng(4).standard_normal((3, g.n_nodes))
+    ref = v @ lap  # lap is symmetric
+    got = lap_array(g, v)
+    assert got.shape == v.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestSineBasis:
+    G = make_grid(2, ((0, 2), (0, 1)), (23, 17))
+
+    def test_orthonormal_and_symmetric(self):
+        for s, n in zip(self.G.sine_basis, self.G.shape):
+            assert s.shape == (n, n)
+            np.testing.assert_allclose(s @ s, np.eye(n), rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(s, s.T)
+
+    def test_diagonalizes_the_assembled_stencil(self):
+        g = self.G
+        neg_lap = -lap_array(g, np.eye(g.n_nodes))  # symmetric: rows are columns
+        s = np.kron(*g.sine_basis)  # row-major vec(S0 V S1)
+        recon = s @ np.diag(g.lap_eigenvalues.ravel()) @ s
+        assert np.max(np.abs(recon - neg_lap)) <= 1e-12 * np.max(np.abs(neg_lap))

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from monoac import Field, make_grid, min_eig, spectral, steppers
-from monoac._linsolve import LinearSolveError, solve_shifted
+from monoac import _linsolve
+from monoac._linsolve import LinearSolveError, apply_shifted, solve_shifted
 from monoac.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def assembled_operator(g, d):
@@ -83,6 +90,85 @@ class TestSolveShifted2D:
         expected = np.linalg.eigvalsh(dense)
         assert g.lap_eigenvalues.shape == g.shape
         np.testing.assert_allclose(np.sort(g.lap_eigenvalues.ravel()), expected, rtol=1e-12)
+
+
+class TestKernels2D:
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 23])
+    def test_folded_sine_transform_is_the_matrix_product(self, n):
+        s = make_grid(2, ((0, 1), (0, 1)), (n, 3)).sine_basis[0]
+        v = np.random.default_rng(n).standard_normal((n, 3))
+        ref = s @ v
+        assert np.max(np.abs(_linsolve._sine_transform(s, v) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_fixed_nodes_of_a_solution_are_exact_zeros(self):
+        rng = np.random.default_rng(13)
+        fixed = fixed_mask("disk", rng)
+        x = solve_shifted(G, diagonal("positive", rng), rng.standard_normal(G.n_nodes),
+                          fixed=fixed)
+        assert x[fixed].tobytes() == bytes(8 * int(fixed.sum()))  # +0.0, sign bit clear
+
+    def test_solution_scales_with_a_tiny_rhs(self):
+        rng = np.random.default_rng(15)
+        fixed = fixed_mask("disk", rng)
+        d = diagonal("positive", rng)
+        rhs = rng.standard_normal(G.n_nodes)
+        x = solve_shifted(G, d, rhs, fixed=fixed)
+        tiny = solve_shifted(G, d, 1e-30 * rhs, fixed=fixed)
+        assert np.max(np.abs(tiny * 1e30 - x)) <= 1e-9 * np.max(np.abs(x))
+
+    def test_nonfinite_diagonal_on_fixed_nodes_is_ignored(self):
+        rng = np.random.default_rng(16)
+        fixed = fixed_mask("random30", rng)
+        d = diagonal("positive", rng)
+        rhs = rng.standard_normal(G.n_nodes)
+        d_inf = np.where(fixed, np.inf, d)
+        x = solve_shifted(G, d_inf, rhs, fixed=fixed)
+        assert x.tobytes() == solve_shifted(G, d, rhs, fixed=fixed).tobytes()
+
+    def test_every_iteration_calls_apply_shifted(self, monkeypatch):
+        # the benchmark traces the matvec by wrapping this module attribute
+        calls = []
+
+        def counted(g, diag, x):
+            calls.append(x.nbytes)
+            return apply_shifted(g, diag, x)
+
+        monkeypatch.setattr(_linsolve, "apply_shifted", counted)
+        rhs = np.random.default_rng(14).standard_normal(G.n_nodes)
+        with pytest.raises(LinearSolveError, match="did not reach"):
+            solve_shifted(G, -1000.0, rhs)  # indefinite: every iteration runs
+        assert len(calls) == 10 * max(G.shape) + 200
+        assert set(calls) == {8 * G.n_nodes}
+
+    def test_2d_solves_import_neither_scipy_fft_nor_sparse(self):
+        code = ("import sys, numpy as np, monoac.cli\n"
+                "from monoac import Field, make_grid, min_eig\n"
+                "from monoac._linsolve import solve_shifted\n"
+                "g = make_grid(2, ((0, 2), (0, 1)), (23, 17))\n"
+                "solve_shifted(g, 1.0, np.ones(g.n_nodes))\n"
+                "min_eig(g, Field(g, np.zeros(g.n_nodes)))\n"
+                "print([m for m in ('scipy.fft', 'scipy.sparse') if m in sys.modules])\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_2d_implicit_reruns_are_byte_identical(self, tmp_path):
+        domain = {"dim": 2, "endpoints": [[-1, 1], [-1, 1]], "n_interior": [31, 31]}
+        bump = {"preset": "bump", "center": [0.0, 0.0], "width": [0.6, 0.6], "height": 0.35}
+        for out in ("a", "b"):
+            doc = {"domain": domain, "model": {"kappa": 1.0}, "initial": bump,
+                   "solver": {"scheme": "implicit_obstacle", "splitting": "convex_split",
+                              "dt": 0.01, "t_end": 0.05},
+                   "outputs": {"directory": str(tmp_path / out), "stride": 1}}
+            assert main(["run", "--config", write_config(tmp_path, doc, f"{out}.json"),
+                         "--quiet"]) == 0
+        files = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))
+        assert len(files) == 2 + 6  # diagnostics.csv, steps.csv and the snapshots of steps 0..5
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestSolveShifted1D:

@@ -84,6 +84,29 @@ class TestPgs:
             assert np.max(np.abs(up.values - ub.values)) <= 1e-10
             assert np.max(np.abs(ep.values - eb.values)) <= 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_active_set_on_tiny_1d_grids(self, n):
+        # n = 1 leaves the odd colour empty
+        rng = np.random.default_rng(100 + n)
+        for _ in range(10):
+            prob = random_problem(rng, n=n)
+            ua, ea, _ = solve_active_set(prob, zero_field(prob.grid))
+            up, ep, _ = solve_pgs(prob, zero_field(prob.grid))
+            assert np.max(np.abs(up.values - ua.values)) <= 1e-10
+            assert np.max(np.abs(ep.values - ea.values)) <= 1e-8
+
+    def test_matches_active_set_on_a_nonsquare_2d_grid(self):
+        rng = np.random.default_rng(23)
+        g = make_grid(2, ((0, 2), (0, 1)), (15, 11))
+        prob = ObstacleProblem(grid=g, psi=Field(g, rng.normal(scale=0.5, size=g.n_nodes)),
+                               a=2.0, b=Field(g, rng.normal(scale=3.0, size=g.n_nodes)),
+                               kappa_implicit=False, params=P1)
+        ua, _, _ = solve_active_set(prob, zero_field(g))
+        up, _, sweeps = solve_pgs(prob, zero_field(g))
+        assert sweeps < 100_000
+        assert np.any(up.values == prob.psi.values) and np.any(up.values > prob.psi.values)
+        assert np.max(np.abs(up.values - ua.values)) <= 1e-8
+
 
 def prob_apply(g, v, a):
     from monoac.grid import lap_array
