@@ -187,7 +187,10 @@ def _parse_potential(section, g, p) -> Field:
     if kind == "csv":
         if "path" not in section:
             raise ConfigError("potential: csv type needs 'path'")
-        return read_field_csv(section["path"], grid=g)
+        try:
+            return read_field_csv(section["path"], grid=g)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"potential: {exc}") from None
     if kind == "scaled_square":
         if "initial" not in section:
             raise ConfigError("potential: scaled_square type needs 'initial'")

@@ -305,36 +305,60 @@ def repr_floats(a: np.ndarray) -> list[str]:
 def parse_csv_rows(path, text: str, n_cols: int) -> np.ndarray:
     """Float table of the non-blank lines of a CSV body, n_cols fields per line.
 
-    Whitespace around a field is accepted.  Errors are ValueErrors naming path.
+    numpy's reader parses the fields: whitespace around a field is accepted, but
+    it is stricter than float() (no "1_0" digit separators, no "#" comments).
+    Errors are ValueErrors naming path.
     """
-    rows = [line.split(",") for line in text.splitlines() if line.strip()]
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: no rows")
     try:
-        data = np.array(rows, dtype=float)
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:  # ragged rows, or a field that is not a number
         raise ValueError(f"{path}: unreadable rows ({exc})") from None
-    if data.shape[1:] != (n_cols,):
+    if data.shape[1] != n_cols:
         raise ValueError(f"{path}: expected {n_cols} columns per row")
     return data
 
 
+# one-entry memos, replaced whole so that concurrent callers can only repeat work: the
+# text of the last field written, keyed by (grid, exact value bytes), and the grid and
+# table of the last file read, keyed by (grid argument, text)
+_last_written = (None, "")
+_last_read = (None, None, None)
+
+
 def write_field_csv(path, u: Field):
     """One node per line: axis coordinates then value, after a grid header."""
-    g = u.grid
-    rows = map(str.__add__, g.csv_row_prefixes, repr_floats(u.values))
+    global _last_written
+    key, memo = (u.grid, u.values.tobytes()), _last_written
+    if memo[0] != key:
+        rows = map(str.__add__, u.grid.csv_row_prefixes, repr_floats(u.values))
+        memo = _last_written = (key, u.grid.csv_header + "\n".join(rows) + "\n")
     with open(path, "w") as f:
-        f.write(g.csv_header + "\n".join(rows) + "\n")
+        f.write(memo[1])
 
 
 def read_field_csv(path, grid: Grid | None = None) -> Field:
     """Read a field written by write_field_csv; rebuilds the grid if none is given.
 
     Blank lines and whitespace around fields are accepted; a missing or
-    malformed header, malformed rows, a wrong shape or a non-finite value
-    raise ValueErrors naming path.
+    malformed header, malformed rows, a wrong shape, a header or coordinates
+    off the given grid (by more than 1e-9 of its spacing) or a non-finite
+    value raise ValueErrors naming path.  The values are a fresh contiguous array.
     """
+    global _last_read
     with open(path) as f:
-        header = f.readline().strip()
-        body = f.read()
+        text = f.read()
+    key, memo = (grid, text), _last_read
+    if memo[0] != key:
+        memo = _last_read = (key, *_parse_field_csv(path, text, grid))
+    return Field(memo[1], memo[2][:, -1].copy())
+
+
+def _parse_field_csv(path, text: str, grid: Grid | None) -> tuple[Grid, np.ndarray]:
+    header, _, body = text.partition("\n")
+    header = header.strip()
     if not header.startswith("# grid "):
         raise ValueError(f"{path}: missing grid header")
     try:
@@ -345,6 +369,8 @@ def read_field_csv(path, grid: Grid | None = None) -> Field:
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed grid header ({exc!r})") from None
     data = parse_csv_rows(path, body, dim + 1)
+    if data.shape[0] != np.prod(n_interior):
+        raise ValueError(f"{path}: expected {np.prod(n_interior)} rows, got {data.shape[0]}")
     if grid is None:
         # endpoints recovered from the first interior node: lo = x0 - h
         endpoints = []
@@ -352,11 +378,12 @@ def read_field_csv(path, grid: Grid | None = None) -> Field:
             lo = data[0, a] - h[a]
             endpoints.append((lo, lo + h[a] * (n_interior[a] + 1)))
         grid = Grid(dim=dim, endpoints=tuple(endpoints), n_interior=n_interior, h=h)
-    else:
-        if grid.dim != dim or grid.n_interior != n_interior:
-            raise ValueError(f"{path}: grid header does not match the expected grid")
-    if data.shape[0] != grid.n_nodes:
-        raise ValueError(f"{path}: expected {grid.n_nodes} rows, got {data.shape[0]}")
+    elif grid.dim != dim or grid.n_interior != n_interior or len(h) != dim or any(
+            abs(hf - hg) > 1e-9 * hg for hf, hg in zip(h, grid.h)):
+        raise ValueError(f"{path}: grid header does not match the expected grid")
+    elif any(np.max(np.abs(data[:, a] - c)) > 1e-9 * grid.h[a]
+             for a, c in enumerate(grid.coords())):
+        raise ValueError(f"{path}: coordinates do not match the expected grid")
     if not np.isfinite(data[:, -1]).all():
         raise ValueError(f"{path}: non-finite field value")
-    return Field(grid, data[:, -1])
+    return grid, data

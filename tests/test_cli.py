@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monoac import ModelParams, SolverConfig, make_grid, run
+from monoac import Field, ModelParams, SolverConfig, make_grid, run
 from monoac.cli import main
 from monoac.grid import read_field_csv, write_field_csv
 from monoac.presets import make_initial
@@ -123,6 +123,14 @@ class TestRunCommand:
         path = malformed_header_csv(tmp_path, make_grid(1, (-1, 1), 63))
         doc = run_config(tmp_path, initial={"csv": str(path)})
         assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+
+    def test_initial_csv_on_another_domain_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "unit.csv"
+        write_field_csv(path, Field(make_grid(1, (0, 1), 63), np.full(63, -0.5)))
+        doc = run_config(tmp_path, initial={"csv": str(path)})
+        assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_out_flag_overrides_directory(self, tmp_path):
         doc = run_config(tmp_path, initial={"preset": "zero"})
@@ -282,6 +290,16 @@ class TestEigenCommand:
         assert main(["eigen", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", ["missing", "wrong_n"])
+    def test_csv_potential_unreadable_exits_2(self, tmp_path, capsys, problem):
+        path = tmp_path / "V.csv"
+        if problem == "wrong_n":
+            write_field_csv(path, Field(make_grid(1, (0, 1), 14), np.ones(14)))
+        doc = {"domain": {"dim": 1, "endpoints": [0, 1], "n_interior": 15},
+               "potential": {"type": "csv", "path": str(path)}}
+        assert main(["eigen", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_failure_exits_5(self, tmp_path):
         doc = {
             "domain": {"dim": 1, "endpoints": [0, 1], "n_interior": 31},
@@ -355,6 +373,18 @@ class TestEquilibriumCommand:
             "warm_start": {"csv": str(malformed_header_csv(tmp_path, g))},
         }
         assert main(["equilibrium", "--config", write_config(tmp_path, doc), "--quiet"]) == 6
+
+    def test_csv_warm_start_on_another_domain_exits_6(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        write_field_csv(path, Field(make_grid(1, (-5, 5), 31), np.ones(31)))
+        doc = {
+            "domain": {"dim": 1, "endpoints": [0, 1], "n_interior": 31},
+            "model": {"kappa": 1.0},
+            "obstacle": {"preset": "supersolution", "c": 1.0},
+            "warm_start": {"csv": str(path)},
+        }
+        assert main(["equilibrium", "--config", write_config(tmp_path, doc), "--quiet"]) == 6
+        assert str(path) in capsys.readouterr().err
 
     def test_run_warm_start_without_t_end_exits_2(self, tmp_path):
         doc = {

@@ -287,6 +287,71 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_field_csv(path)
 
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file_rejected_without_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# grid dim=1 n=3 h=0.5\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_field_csv(path)
+
+    def test_digit_separator_rejected(self, tmp_path):
+        # numpy's reader is stricter than float(), which reads "1_0" as 10.0
+        path = tmp_path / "sep.csv"
+        path.write_text("# grid dim=1 n=3 h=0.5\n-0.5,0.1\n0.0,1_0\n0.5,0.4\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_field_csv(path)
+
+    def test_field_changed_in_place_is_written_again(self, tmp_path):
+        g = make_grid(1, (0, 1), 3)
+        u = field_on(g, [0.1, 0.2, 0.3])
+        write_field_csv(tmp_path / "a.csv", u)
+        u.values[1] = 7.0
+        write_field_csv(tmp_path / "b.csv", u)
+        assert (tmp_path / "a.csv").read_text().splitlines()[2] == "0.5,0.2"
+        assert (tmp_path / "b.csv").read_text().splitlines()[2] == "0.5,7.0"
+        assert read_field_csv(tmp_path / "b.csv", grid=g).values.tolist() == [0.1, 7.0, 0.3]
+
+    def test_signed_zeros_written_apart(self, tmp_path):
+        g = make_grid(1, (0, 1), 2)
+        write_field_csv(tmp_path / "pos.csv", field_on(g, [0.0, 0.0]))
+        write_field_csv(tmp_path / "neg.csv", field_on(g, [0.0, -0.0]))
+        assert (tmp_path / "pos.csv").read_text().endswith(",0.0\n")
+        assert (tmp_path / "neg.csv").read_text().endswith(",-0.0\n")
+        back = read_field_csv(tmp_path / "neg.csv", grid=g).values
+        assert np.signbit(back).tolist() == [False, True]
+
+    def test_reads_of_identical_text_do_not_alias(self, tmp_path):
+        g = make_grid(1, (0, 1), 5)
+        u = field_on(g, np.linspace(0.1, 0.5, 5))
+        write_field_csv(tmp_path / "a.csv", u)
+        write_field_csv(tmp_path / "b.csv", u)
+        a = read_field_csv(tmp_path / "a.csv", grid=g).values
+        b = read_field_csv(tmp_path / "b.csv", grid=g).values
+        assert a.tobytes() == b.tobytes() == u.values.tobytes()
+        assert not np.shares_memory(a, b)
+        a[0] = 9.0
+        b[1] = 9.0
+        again = read_field_csv(tmp_path / "a.csv", grid=g).values
+        assert again.tobytes() == u.values.tobytes()
+
+    @pytest.mark.parametrize("endpoints", [(-5, 5), (0.5, 1.5), (0, 1 + 1e-6)],
+                             ids=["spacing", "shifted", "stretched"])
+    def test_field_off_the_given_grid_rejected(self, tmp_path, endpoints):
+        # the same text loads on its own grid, then is rejected on another one
+        g = make_grid(1, (0, 1), 5)
+        path = tmp_path / "u.csv"
+        write_field_csv(path, field_on(g, np.linspace(0.1, 0.5, 5)))
+        read_field_csv(path, grid=g)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_field_csv(path, grid=make_grid(1, endpoints, 5))
+
+    def test_grid_within_rounding_accepted(self, tmp_path):
+        g = make_grid(2, ((0, 1), (-1, 1)), (5, 4))
+        path = tmp_path / "u.csv"
+        write_field_csv(path, field_on(g, np.arange(20.0)))
+        near = make_grid(2, ((1e-13, 1 + 1e-13), (-1, 1 + 1e-12)), (5, 4))
+        assert read_field_csv(path, grid=near).values.tolist() == list(range(20))
+
 
 @pytest.mark.parametrize("dims", [(9,), (5, 4)])
 def test_stacked_input_matches_row_by_row(dims):

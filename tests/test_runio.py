@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from monoac import ModelParams, SolverConfig, SolverError, cfl_limit, make_grid, run, steppers
+from monoac import (ModelParams, SolverConfig, SolverError, cfl_limit, grid, make_grid, run,
+                    runio, steppers)
 from monoac.presets import make_initial
 from monoac.runio import STEPS_COLUMNS, read_trajectory, write_trajectory
 
@@ -92,3 +93,45 @@ def test_steps_file_must_match_diagnostics(tmp_path, edit):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="steps.csv"):
         read_trajectory(tmp_path)
+
+
+@pytest.mark.parametrize("make", [implicit_1d, implicit_2d])
+def test_loaded_snapshots_own_their_values(tmp_path, make):
+    # each snapshot is a contiguous array of its own, not a column of the file's table
+    write_trajectory(make(None), tmp_path)
+    values = [s.values for s in read_trajectory(tmp_path).snapshots]
+    for i, v in enumerate(values):
+        owner = v
+        while owner.base is not None:
+            owner = owner.base
+        assert v.flags.c_contiguous and owner.nbytes == v.nbytes
+        assert not any(np.shares_memory(v, w) for w in values[:i])
+
+
+def test_one_field_call_per_snapshot_file(tmp_path, monkeypatch):
+    # the benchmark tracer times runio.write_field_csv and runio.read_field_csv, so every
+    # snapshot file goes through those names once, repeated states included
+    g = make_grid(1, (0, 1), 31)
+    cfg = SolverConfig(scheme="implicit_obstacle", dt=0.02, t_end=1.0, snapshot_stride=1)
+    traj = run(g, make_initial("bump", g, P1, center=0.5, width=0.25, height=0.2), P1, cfg)
+    distinct = {s.values.tobytes() for s in traj.snapshots}
+    assert len(distinct) < len(traj.snapshots)  # it stops moving mid-run
+    calls = {"write": 0, "read": 0, "parse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(runio, "write_field_csv", counted("write", runio.write_field_csv))
+    monkeypatch.setattr(runio, "read_field_csv", counted("read", runio.read_field_csv))
+    monkeypatch.setattr(grid, "parse_csv_rows", counted("parse", grid.parse_csv_rows))
+    write_trajectory(traj, tmp_path)
+    back = read_trajectory(tmp_path)
+    files = sorted(tmp_path.glob("snapshot_*.csv"))
+    assert calls["write"] == calls["read"] == len(files) == len(traj.snapshots)
+    # a repeated state is written as the same text and parsed once
+    assert len({f.read_bytes() for f in files}) == calls["parse"] == len(distinct)
+    for a, b in zip(traj.snapshots, back.snapshots, strict=True):
+        assert a.values.tobytes() == b.values.tobytes()
