@@ -18,6 +18,16 @@ from monoac.cli import main
 REPO = Path(__file__).resolve().parents[1]
 
 
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports monoac from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def assembled_operator(g, d):
     """diag(d) - lap as a sparse matrix, built from the 3-point stencil per axis."""
     lap = sp.csr_matrix((g.n_nodes, g.n_nodes))
@@ -155,6 +165,21 @@ class TestKernels2D:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_solves_import_no_scipy_package(self):
+        # the LAPACK wrappers come from the _flapack extension alone: scipy's and
+        # scipy.linalg's package inits never run
+        proc = run_python(
+            "import sys, numpy as np, monoac.cli\n"
+            "from monoac import Field, make_grid, min_eig\n"
+            "from monoac._linsolve import solve_shifted\n"
+            "g1 = make_grid(1, ((0, 1),), (15,))\n"
+            "solve_shifted(g1, np.ones((3, 15)), np.ones((3, 15)), fixed=np.eye(3, 15, dtype=bool))\n"
+            "g = make_grid(2, ((0, 2), (0, 1)), (23, 17))\n"
+            "solve_shifted(g, 1.0, np.ones(g.n_nodes))\n"
+            "min_eig(g, Field(g, np.zeros(g.n_nodes)))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        assert proc.stdout.strip() == "['scipy.linalg._flapack']"
+
     def test_2d_implicit_reruns_are_byte_identical(self, tmp_path):
         domain = {"dim": 2, "endpoints": [[-1, 1], [-1, 1]], "n_interior": [31, 31]}
         bump = {"preset": "bump", "center": [0.0, 0.0], "width": [0.6, 0.6], "height": 0.35}
@@ -169,6 +194,38 @@ class TestKernels2D:
         assert len(files) == 2 + 6  # diagnostics.csv, steps.csv and the snapshots of steps 0..5
         for name in files:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestLapackLoader:
+    @pytest.mark.parametrize("first", ["monoac", "scipy.linalg.lapack"])
+    def test_wrappers_are_scipys_own_objects_in_either_import_order(self, first):
+        second = "scipy.linalg.lapack" if first == "monoac" else "monoac"
+        proc = run_python(
+            f"import {first}\nimport {second}\n"
+            "from monoac import _linsolve\nfrom scipy.linalg import lapack\n"
+            "print([getattr(_linsolve, f) is getattr(lapack, f)"
+            " for f in ('dgtsv', 'dpttrf', 'dpttrs')])\n")
+        assert proc.stdout.strip() == "[True, True, True]"
+
+    def test_missing_extension_raises_naming_the_directory(self, tmp_path):
+        # scipy located at an empty directory: the import fails there, and no
+        # scipy package is imported in its place
+        linalg = tmp_path / "scipy" / "linalg"
+        linalg.mkdir(parents=True)
+        proc = run_python(
+            "import importlib.machinery, importlib.util, sys\n"
+            "find_spec = importlib.util.find_spec\n"
+            f"fake = importlib.machinery.ModuleSpec('scipy', None, origin={str(linalg.parent / '__init__.py')!r})\n"
+            "importlib.util.find_spec = lambda name, package=None: "
+            "fake if name == 'scipy' else find_spec(name, package)\n"
+            "try:\n"
+            "    import monoac\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        message, imported = proc.stdout.strip().splitlines()
+        assert str(linalg) in message
+        assert imported == "[]"
 
 
 class TestSolveShifted1D:
