@@ -18,6 +18,7 @@ without scipy.linalg's package init: ``import monoac.cli`` about 540 -> 220 ms.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 from pathlib import Path
@@ -75,6 +76,15 @@ def solve_shifted(g: Grid, diag, rhs: np.ndarray, fixed: np.ndarray | None = Non
     return x
 
 
+@functools.lru_cache(maxsize=64)
+def _off_diagonal(n: int, size: int, h: float) -> np.ndarray:
+    """-1/h^2 off the diagonal of `size` nodes in systems of n, 0 where two systems meet."""
+    off = np.full(size - 1, -(1.0 / (h * h)))
+    off[n - 1::n] = 0.0
+    off.flags.writeable = False
+    return off
+
+
 def _solve_banded_1d(g: Grid, d: np.ndarray, rhs: np.ndarray,
                      fixed: np.ndarray | None) -> np.ndarray:
     # d is a private copy: it becomes the main diagonal in place.  A batch is one
@@ -82,12 +92,9 @@ def _solve_banded_1d(g: Grid, d: np.ndarray, rhs: np.ndarray,
     n = g.n_nodes
     d = d.reshape(-1)
     size = d.size
-    inv_h2 = 1.0 / (g.h[0] * g.h[0])
-    d += 2.0 * inv_h2
-    dl = np.empty(size - 1)
-    dl.fill(-inv_h2)
-    dl[n - 1::n] = 0.0
-    du = dl.copy()
+    d += 2.0 * (1.0 / (g.h[0] * g.h[0]))
+    off = _off_diagonal(n, size, g.h[0])
+    dl, du = off.copy(), off.copy()
     b = rhs.reshape(-1).copy()
     if fixed is not None and fixed.any():
         idx = np.flatnonzero(fixed)

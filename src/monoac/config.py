@@ -37,8 +37,13 @@ def load_json(path) -> dict:
 
 
 def number(value, where: str, kind=float):
-    """kind(value) for a numeric config entry; ConfigError naming `where` if that fails."""
+    """kind(value) for a numeric config entry; ConfigError naming `where` if that fails.
+
+    A bool, or a fractional number where kind is int, fails rather than being truncated.
+    """
     try:
+        if isinstance(value, bool) or kind is int and isinstance(value, float) and value % 1:
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None

@@ -198,7 +198,7 @@ def lap_array(g: Grid, a: np.ndarray) -> np.ndarray:
         out = -2.0 * a
         out[..., 1:] += a[..., :-1]
         out[..., :-1] += a[..., 1:]
-        return out / h2
+        return np.divide(out, h2, out=out)
     inv0 = 1.0 / (g.h[0] * g.h[0])
     inv1 = 1.0 / (g.h[1] * g.h[1])
     n1 = g.shape[1]

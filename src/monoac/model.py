@@ -67,7 +67,10 @@ def w_prime(u: Field, p: ModelParams) -> Field:
 
 
 def residual_array(g: Grid, v: np.ndarray, p: ModelParams) -> np.ndarray:
-    return lap_array(g, v) - v * v * v + p.kappa * v
+    out = lap_array(g, v)  # lap(v) - v^3 + kappa*v in that operation order, updated in place
+    out -= v * v * v
+    out += p.kappa * v
+    return out
 
 
 def residual(g: Grid, u: Field, p: ModelParams) -> Field:
@@ -134,15 +137,14 @@ def _snapshot_values(g: Grid, v: np.ndarray, p: ModelParams, t,
     w = g.cell_volume
     if r is None:
         r = residual_array(g, v, p)
-    neg = np.minimum(r, 0.0)
-    res_neg_l2sq = w * (neg * neg).sum(axis=-1)
     grad_sq = h1_grad_sq(g, v)
-    v2 = v * v
-    u_l2sq = w * v2.sum(axis=-1)
-    u_l4_4 = w * (v2 * v2).sum(axis=-1)
+    tmp = np.minimum(r, 0.0)  # one scratch array, refilled in place: a block's temporaries
+    res_neg_l2sq = w * np.multiply(tmp, tmp, out=tmp).sum(axis=-1)
+    u_l2sq = w * np.multiply(v, v, out=tmp).sum(axis=-1)
+    u_l4_4 = w * np.multiply(tmp, tmp, out=tmp).sum(axis=-1)
     phi = 0.5 * grad_sq + 0.25 * u_l4_4
     e = phi - 0.5 * p.kappa * u_l2sq
-    u_linf = np.abs(v).max(axis=-1)
+    u_linf = np.abs(v, out=tmp).max(axis=-1)
     # roots by np.sqrt, which is correctly rounded on every platform (np.power is not)
     cols = (np.broadcast_to(t, res_neg_l2sq.shape), e, phi, np.sqrt(res_neg_l2sq),
             res_neg_l2sq, np.sqrt(u_l2sq), np.sqrt(np.sqrt(u_l4_4)), u_linf,

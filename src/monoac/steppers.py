@@ -6,12 +6,16 @@ implicit_obstacle backward Euler written as a per-step lower-obstacle problem,
 yosida            forward Euler on the resolvent-regularized right-hand side
 
 Every route moves fields upward only, so trajectories are monotone in time
-and stay above their initial datum.  A trajectory records the scalar
-diagnostics of every step and full field snapshots on a stride.
+and stay above their initial datum.  Each scheme is one raw step on a (B, n)
+array of states (``_raw_step``): ``run`` steps an ensemble with it, and the
+public ``step_*`` functions and ``yosida_rhs`` are its B = 1 calls.  A
+trajectory records the scalar diagnostics of every step and full field
+snapshots on a stride.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
 
@@ -42,12 +46,12 @@ __all__ = [
 
 SCHEMES = ("explicit", "implicit_obstacle", "yosida")
 SPLITTINGS = ("convex_split", "fully_implicit")
-# run() reduces the diagnostics of up to DIAG_BLOCK recorded states at once,
-# fewer where a buffer of that many ensemble states would pass _BLOCK_BYTES:
-# the reduction's temporaries scale with the block, and at 64 KiB the peak
-# memory of a sweep stays below that of per-step rows
+# run() reduces the diagnostics and step statistics of up to DIAG_BLOCK recorded
+# states at once, fewer where a buffer of that many ensemble states would pass
+# _BLOCK_BYTES: the reduction's temporaries scale with the block, and its cost
+# per state levels off near 256 KiB (a 6 x 127 ensemble flushes every 43 steps)
 DIAG_BLOCK = 256
-_BLOCK_BYTES = 1 << 16
+_BLOCK_BYTES = 1 << 18
 _FAST_FORWARD = True  # run() skips fixed points; off only to test the rows it fills in
 
 
@@ -85,8 +89,12 @@ class SolverConfig:
         if self.splitting not in SPLITTINGS:
             raise ValueError(f"unknown splitting {self.splitting!r}; expected one of {SPLITTINGS}")
         for name in ("dt", "t_end", "yosida_lambda", "newton_tol", "pgs_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("newton_max_iter", "pgs_max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
         if self.scheme in ("explicit", "yosida"):
@@ -162,33 +170,62 @@ def snapshot_index(snapshot_times, t: float) -> int:
     return idx
 
 
+def _raw_step(g: Grid, p: ModelParams, cfg: SolverConfig):
+    """cfg's scheme as one step of a (B, n) array of states: step(u, r, state) -> (u_next, stats).
+
+    r is the residual of u; state lists the per-row arrays carried between steps
+    (yosida's lambdas and resolvent warm start, which each step replaces).  stats
+    are yosida's rates, implicit's multipliers and inner iterations per row, or
+    None.  A SolverError names its row as ``member``.
+    """
+    cfg.validate(g, p)  # dt positive, finite and, for explicit and yosida, stable
+    dt = cfg.dt
+    if cfg.scheme == "explicit":
+        def step(u, r, state):
+            rate = np.maximum(r, 0.0)
+            return np.add(np.multiply(rate, dt, out=rate), u, out=rate), None
+    elif cfg.scheme == "yosida":
+        def step(u, r, state):
+            lam = state[0]
+            state[1] = w = _resolvent_raw(g, u, lam, cfg.newton_tol, cfg.newton_max_iter, state[1])
+            # (u - w)/lam equals -lap(w) + w^3 exactly at the solve, but this form
+            # does not re-amplify the Newton tolerance through the stencil
+            rate = np.maximum(p.kappa * u - (u - w) / lam, 0.0)
+            return u + dt * rate, rate
+    else:
+        def step(u, r, state):
+            done = []  # per row: (u_next, multiplier, inner iterations)
+            for i, row in enumerate(u):
+                try:
+                    done.append(_implicit_step(g, row, p, dt, cfg.splitting, cfg.newton_tol,
+                                               cfg.newton_max_iter, cfg.pgs_tol, cfg.pgs_max_iter))
+                except SolverError as exc:
+                    exc.member = i
+                    raise
+            u_next, etas, iters = zip(*done)
+            return np.array(u_next), (etas, iters)
+    return step
+
+
+def _step_once(g: Grid, u: Field, p: ModelParams, scheme: str, dt: float, **options):
+    """(u_next, stats) of the raw step of a scheme from the single state u."""
+    cfg = SolverConfig(scheme, dt, dt, **options)
+    v = u.values[None]
+    state = [np.full(v.shape, cfg.yosida_lambda), None] if scheme == "yosida" else []
+    return _raw_step(g, p, cfg)(v, residual_array(g, v, p), state)
+
+
 def step_explicit(g: Grid, u: Field, p: ModelParams, dt: float) -> Field:
     """One forward-Euler step; never moves a node downward."""
-    if dt > cfl_limit(g) * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt} violates the stability bound {cfl_limit(g)}")
-    r = residual_array(g, u.values, p)
-    return Field(g, u.values + dt * np.maximum(r, 0.0))
+    return Field(g, _step_once(g, u, p, "explicit", dt)[0])
 
 
-def _implicit_problem(g: Grid, u_prev: np.ndarray, p: ModelParams, dt: float,
-                      splitting: str) -> ObstacleProblem:
-    if splitting == "convex_split":
-        b = u_prev * (1.0 / dt + p.kappa)
-        kappa_implicit = False
-    elif splitting == "fully_implicit":
-        if not dt < 1.0 / p.kappa:
-            raise ValueError(f"fully_implicit needs dt < 1/kappa = {1.0 / p.kappa}")
-        b = u_prev / dt
-        kappa_implicit = True
-    else:
-        raise ValueError(f"unknown splitting {splitting!r}")
-    return ObstacleProblem(grid=g, psi=Field(g, u_prev), a=1.0 / dt,
-                           b=Field(g, b), kappa_implicit=kappa_implicit, params=p)
-
-
-def _implicit_step(g, u_prev: np.ndarray, p, dt, splitting, newton_tol=1e-10,
-                   newton_max_iter=50, pgs_tol=1e-11, pgs_max_iter=100_000):
-    prob = _implicit_problem(g, u_prev, p, dt, splitting)
+def _implicit_step(g, u_prev: np.ndarray, p, dt, splitting, newton_tol, newton_max_iter,
+                   pgs_tol, pgs_max_iter):
+    # convex_split takes kappa*u explicitly; fully_implicit does not (convex for dt < 1/kappa)
+    b = u_prev * (1.0 / dt + p.kappa) if splitting == "convex_split" else u_prev / dt
+    prob = ObstacleProblem(grid=g, psi=Field(g, u_prev), a=1.0 / dt, b=Field(g, b),
+                           kappa_implicit=splitting == "fully_implicit", params=p)
     try:
         u_next, eta_hat, iters = solve_active_set(prob, prob.psi, tol=newton_tol,
                                                   newton_max_iter=newton_max_iter,
@@ -211,8 +248,8 @@ def step_implicit_obstacle(g: Grid, u_prev: Field, p: ModelParams, dt: float,
     Returns (u_next, multiplier) with u_next >= u_prev elementwise, the
     multiplier nonpositive and supported where the step did not move.
     """
-    u_next, eta_hat, _ = _implicit_step(g, u_prev.values, p, dt, splitting)
-    return Field(g, u_next), eta_hat
+    u_next, (etas, _) = _step_once(g, u_prev, p, "implicit_obstacle", dt, splitting=splitting)
+    return Field(g, u_next), etas[0]
 
 
 def _resolvent_raw(g: Grid, v: np.ndarray, lam: np.ndarray, tol: float,
@@ -223,12 +260,16 @@ def _resolvent_raw(g: Grid, v: np.ndarray, lam: np.ndarray, tol: float,
     slower).  Newton runs on the rows above tol, their systems solved as one
     batch; each row halves its line-search step until its residual drops.
     """
-    def res(x, lam, v):
-        return x + lam * (x * x * x - lap_array(g, x)) - v
+    def res(x, lam, v):  # x + lam * (x^3 - lap x) - v, in that operation order
+        out = x * x * x - lap_array(g, x)
+        out *= lam
+        out += x
+        out -= v
+        return out
 
     w = (v if w0 is None else w0).copy()
     r = res(w, lam, v)
-    norm = np.abs(r).max(axis=-1)
+    norm = np.maximum.reduce(np.abs(r), -1)
     for it in range(max_iter + 1):
         # row bookkeeping in Python lists: at a few rows it beats array calls
         todo = [i for i, x in enumerate(norm.tolist()) if not x <= tol]  # NaN iterates, and fails
@@ -247,11 +288,10 @@ def _resolvent_raw(g: Grid, v: np.ndarray, lam: np.ndarray, tol: float,
         except LinearSolveError as exc:
             raise SolverError(f"resolvent linear solve failed: {exc}",
                               member=todo[exc.row or 0]) from exc
-        step = 1.0
+        step, trial = 1.0, wa + delta
         while True:
-            trial = wa + step * delta
             tr = res(trial, la, va)
-            tn = np.abs(tr).max(axis=-1)
+            tn = np.maximum.reduce(np.abs(tr), -1)
             better = tn < (norm if rows is None else norm[rows])
             if rows is None:
                 if all(better.tolist()):
@@ -267,6 +307,7 @@ def _resolvent_raw(g: Grid, v: np.ndarray, lam: np.ndarray, tol: float,
             step *= 0.5
             if not step > 1e-12:
                 raise SolverError("resolvent Newton line search exhausted", member=int(rows[0]))
+            trial = wa + step * delta
 
 
 def resolvent_jlambda(g: Grid, v: Field, lam: float, newton_tol: float = 1e-10,
@@ -275,28 +316,21 @@ def resolvent_jlambda(g: Grid, v: Field, lam: float, newton_tol: float = 1e-10,
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     return Field(g, _resolvent_raw(g, v.values[None], np.full((1, g.n_nodes), lam), newton_tol,
-                                   newton_max_iter)[0])
+                                   newton_max_iter))
 
 
 def yosida_rhs(g: Grid, u: Field, p: ModelParams, lam: float,
                newton_tol: float = 1e-10) -> Field:
-    """Regularized rate (kappa*u - (u - w)/lam)_+ with w the resolvent of u.
-
-    (u - w)/lam equals -lap(w) + w^3 exactly at the solve, but evaluating it
-    this way avoids re-amplifying the Newton tolerance through the stencil.
-    """
-    w = _resolvent_raw(g, u.values[None], np.full((1, g.n_nodes), lam), newton_tol, 50)[0]
-    rate = p.kappa * u.values - (u.values - w) / lam
-    return Field(g, np.maximum(rate, 0.0))
+    """Regularized rate (kappa*u - (u - w)/lam)_+ with w the resolvent of u: step_yosida's rate."""
+    return Field(g, _step_once(g, u, p, "yosida", cfl_limit(g), yosida_lambda=lam,
+                               newton_tol=newton_tol)[1])
 
 
 def step_yosida(g: Grid, u: Field, p: ModelParams, dt: float, lam: float,
                 newton_tol: float = 1e-10) -> Field:
     """One forward-Euler step of the regularized flow; monotone like the others."""
-    if dt > cfl_limit(g) * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt} violates the stability bound {cfl_limit(g)}")
-    rate = yosida_rhs(g, u, p, lam, newton_tol=newton_tol)
-    return Field(g, u.values + dt * rate.values)
+    return Field(g, _step_once(g, u, p, "yosida", dt, yosida_lambda=lam,
+                               newton_tol=newton_tol)[0])
 
 
 def run(g: Grid, u0, p: ModelParams, cfg):
@@ -319,7 +353,9 @@ def run(g: Grid, u0, p: ModelParams, cfg):
     The eta column of the diagnostics always comes from the instantaneous
     state (eta = min(r, 0)), independent of the scheme; the implicit scheme
     additionally stores its step multipliers and their gap to that eta.
-    Diagnostics rows are reduced a block of recorded states at a time.
+    Diagnostics rows, rate norms and smallest increments are reduced a block
+    of recorded states at a time; a step only sums its squared increments,
+    for the finite and the fixed-point tests.
     """
     single = isinstance(u0, Field)
     members = [u0] if single else list(u0)
@@ -333,36 +369,38 @@ def run(g: Grid, u0, p: ModelParams, cfg):
             replace(c, yosida_lambda=cfg.yosida_lambda) != cfg for c in configs):
         raise ValueError("give one solver config, or one per member differing in "
                          "yosida_lambda only")
-    for c in configs:
+    for c in configs[1:]:
         c.validate(g, p)
-    n_steps = cfg.n_steps()
-    dt = cfg.dt
+    step = _raw_step(g, p, cfg)  # validates cfg
+    n_steps, dt, stride = cfg.n_steps(), cfg.dt, cfg.snapshot_stride
     implicit = cfg.scheme == "implicit_obstacle"
     n_members = len(members)
-    u = np.stack([m.values for m in members])  # the moving members' states, one row each
+    u = init = np.stack([m.values for m in members])  # the moving members' states, one row each
     active = np.arange(n_members)  # the member of each row of u
     rows = slice(None)  # indexes the members' arrays by row of u: a view until a freeze
     frozen = {}  # member -> (first step it skipped, its state)
+    # each row's lambda and resolvent warm start
+    state = [np.array([np.full(g.n_nodes, c.yosida_lambda) for c in configs]), u] \
+        if cfg.scheme == "yosida" else []
     w_cell = g.cell_volume
 
     times = dt * np.arange(n_steps + 1)
+    # per recorded state k; the per-step series hold the step into state k (0: none)
     diag = np.empty((n_members, n_steps + 1, len(SNAPSHOT_COLUMNS)))
-    res_l2sq = np.empty((n_members, n_steps + 1))
-    gap_min = np.empty((n_members, n_steps + 1))
-    du_dt_l2 = np.zeros((n_members, n_steps))
-    min_inc = np.zeros((n_members, n_steps))
-    inner = np.zeros((n_members, n_steps), dtype=int)
+    res_l2sq, gap_min = np.empty((2, n_members, n_steps + 1))
+    du_dt_l2, min_inc = np.zeros((2, n_members, n_steps + 1))
+    inner = np.zeros((n_members, n_steps + 1), dtype=int)
     snapshots: list[list[Field]] = [[] for _ in members]
     snap_times: list[float] = []
     multipliers = [[] for _ in members] if implicit else None
-    eta_gap = np.zeros((n_members, n_steps)) if implicit else None
+    eta_gap = np.zeros((n_members, n_steps + 1)) if implicit else None
     pending_eta_hat: np.ndarray | None = None
     block = max(1, min(DIAG_BLOCK, _BLOCK_BYTES // u.nbytes))
-    # recorded states and their residuals, copied in until their rows are computed
-    states = np.empty((block,) + u.shape)
-    resids = np.empty_like(states)
-    flushed = 0  # recorded steps before this index have their rows
-    pending = 0  # recorded steps waiting in the buffers
+    # recorded states and their residuals, copied in until their rows are computed;
+    # slot j of states holds state flushed + j - 1, slot 0 the last one flushed
+    states = np.repeat(u[None], block + 1, axis=0)
+    resids = np.empty((block,) + u.shape)
+    flushed = pending = 0  # states before `flushed` have their rows; `pending` more are buffered
     started = time.perf_counter()
 
     def flush():
@@ -370,51 +408,43 @@ def run(g: Grid, u0, p: ModelParams, cfg):
         if not pending:
             return
         stop = flushed + pending
-        uv, r = states[:pending], resids[:pending]
+        uv, r = states[1:pending + 1], resids[:pending]
         values = _snapshot_values(g, uv, p, times[flushed:stop, None], r=r)
         diag[rows, flushed:stop] = values.swapaxes(0, 1)
         res_l2sq[rows, flushed:stop] = (w_cell * (r * r).sum(axis=-1)).T
-        for i, b in enumerate(active):
-            gap_min[b, flushed:stop] = (uv[:, i] - members[b].values).min(axis=-1)
+        gap_min[rows, flushed:stop] = (uv - init[rows]).min(axis=-1).T
+        delta = states[1:pending + 1] - states[:pending]  # the steps into the buffered states
+        min_inc[rows, flushed:stop] = delta.min(axis=-1).T
+        np.multiply(delta, delta, out=delta)
+        du_dt_l2[rows, flushed:stop] = (np.sqrt(w_cell * delta.sum(axis=-1)) / dt).T
+        states[0] = states[pending]
         flushed = stop
         pending = 0
 
     def snapshot(k: int, uv: np.ndarray):
         for i, b in enumerate(active):
             snapshots[b].append(Field(g, uv[i].copy()))
-        for b, (_, state) in frozen.items():
-            snapshots[b].append(Field(g, state.copy()))
+        for b, (_, row) in frozen.items():
+            snapshots[b].append(Field(g, row.copy()))
         snap_times.append(float(times[k]))
-
-    def record(k: int, uv: np.ndarray, r: np.ndarray):
-        nonlocal pending
-        states[pending] = uv
-        resids[pending] = r
-        pending += 1
-        if k % cfg.snapshot_stride == 0 or k == n_steps:
-            snapshot(k, uv)
-        if pending == block or k == n_steps:
-            flush()
 
     def trajectory(b: int, k: int, failure: dict | None = None) -> Trajectory:
         f = frozen.get(b, (k,))[0]
         if f < k:  # fill in the rows of the skipped steps
-            for a in (diag, res_l2sq, gap_min):
+            for a in [diag, res_l2sq, gap_min, du_dt_l2, min_inc, inner] + [eta_gap] * implicit:
                 a[b, f + 1:k + 1] = a[b, f]
             diag[b, f + 1:k + 1, SNAPSHOT_COLUMNS.index("t")] = times[f + 1:k + 1]
-            for a in (du_dt_l2, min_inc, inner) + (() if eta_gap is None else (eta_gap,)):
-                a[b, f:k] = a[b, f - 1]
             if multipliers is not None:
                 multipliers[b] += [multipliers[b][-1]] * (k - len(multipliers[b]))
         return Trajectory(
             grid=g, params=p, config=configs[b], u0=members[b],
             times=times[: k + 1], diag=diag[b, : k + 1],
             res_l2sq=res_l2sq[b, : k + 1], obstacle_gap_min=gap_min[b, : k + 1],
-            du_dt_l2=du_dt_l2[b, :k], step_min_increment=min_inc[b, :k],
-            inner_iterations=inner[b, :k],
+            du_dt_l2=du_dt_l2[b, 1:k + 1], step_min_increment=min_inc[b, 1:k + 1],
+            inner_iterations=inner[b, 1:k + 1],
             snapshot_times=np.array(snap_times), snapshots=snapshots[b],
             multipliers=None if multipliers is None else multipliers[b],
-            eta_hat_gap_l2=None if eta_gap is None else eta_gap[b, :k],
+            eta_hat_gap_l2=None if eta_gap is None else eta_gap[b, 1:k + 1],
             wall_time=time.perf_counter() - started, failure=failure,
         )
 
@@ -425,67 +455,58 @@ def run(g: Grid, u0, p: ModelParams, cfg):
         partial = trajectory(b, k, {"step": k, "message": detail})
         return SolverError(message, trajectory=partial, report=report)
 
-    if cfg.scheme == "yosida":  # each row's lambda and resolvent warm start
-        lam = np.array([np.full(g.n_nodes, c.yosida_lambda) for c in configs])
-        w_warm = u
     stopped = None  # per row: its last step moved no node (None: some node moved in each)
     for k in range(n_steps + 1):
         r = residual_array(g, u, p)
         if pending_eta_hat is not None:
             eta_now = np.minimum(r, 0.0)
-            eta_gap[rows, k - 1] = np.sqrt(w_cell * np.sum((pending_eta_hat - eta_now) ** 2,
-                                                           axis=-1))
+            eta_gap[rows, k] = np.sqrt(w_cell * np.sum((pending_eta_hat - eta_now) ** 2,
+                                                       axis=-1))
             pending_eta_hat = None
-        record(k, u, r)
+        resids[pending] = r  # record state k
+        pending += 1
+        states[pending] = u
+        if k % stride == 0 or k == n_steps:
+            snapshot(k, u)
+        if pending == block or k == n_steps:
+            flush()
         if k == n_steps:
             break
         if stopped is not None and stopped.any():  # freeze the members that did not move
             flush()
-            frozen.update((int(b), (k, state)) for b, state in zip(active[stopped], u[stopped]))
+            frozen.update((int(b), (k, row)) for b, row in zip(active[stopped], u[stopped]))
             moved = ~stopped
             u, r, active = u[moved], r[moved], active[moved]
-            if cfg.scheme == "yosida":
-                lam, w_warm = lam[moved], w_warm[moved]
+            state = [a[moved] for a in state]
             if not len(active):
                 break
             rows = active
             states, resids = states[:, moved], resids[:, moved]
-        i = 0  # the row being stepped
         try:
-            if cfg.scheme == "explicit":
-                u_next = u + dt * np.maximum(r, 0.0)
-            elif cfg.scheme == "yosida":
-                w_warm = _resolvent_raw(g, u, lam, cfg.newton_tol, cfg.newton_max_iter, w0=w_warm)
-                rate = np.maximum(p.kappa * u - (u - w_warm) / lam, 0.0)
-                u_next = u + dt * rate
-            else:
-                u_next = np.empty_like(u)
-                for i, b in enumerate(active):
-                    u_next[i], ef, inner[b, k] = _implicit_step(
-                        g, u[i], p, dt, cfg.splitting,
-                        newton_tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter,
-                        pgs_tol=cfg.pgs_tol, pgs_max_iter=cfg.pgs_max_iter,
-                    )
-                    multipliers[b].append(ef)
-                pending_eta_hat = np.stack([multipliers[b][-1].values for b in active])
+            u_next, stats = step(u, r, state)
         except SolverError as exc:
-            b = int(active[i if exc.member is None else exc.member])
+            b = int(active[exc.member or 0])
             raise fail(b, k, str(exc), str(exc), report=exc.report) from exc
+        if implicit:  # the rows' multipliers and inner iterations
+            etas, inner[rows, k + 1] = stats
+            for b, eta in zip(active, etas):
+                multipliers[b].append(eta)
+            pending_eta_hat = np.stack([eta.values for eta in etas])
+        # Sigma delta^2 per row is the one per-step reduction; the rate norm and the
+        # smallest increment are computed at flush from the buffered states
         delta = u_next - u
-        min_inc[rows, k] = delta.min(axis=-1)
-        rate_l2 = np.sqrt(w_cell * (delta * delta).sum(axis=-1)) / dt
-        du_dt_l2[rows, k] = rate_l2
-        finite = np.isfinite(rate_l2)
-        if not finite.all():
-            raise fail(int(active[np.argmin(finite)]), k,
-                       f"state left the finite range at step {k}", "non-finite state")
+        rates = [math.sqrt(w_cell * s) / dt for s in np.add.reduce(delta * delta, -1).tolist()]
+        if not all(map(math.isfinite, rates)):
+            i = next(i for i, x in enumerate(rates) if not math.isfinite(x))
+            raise fail(int(active[i]), k, f"state left the finite range at step {k}",
+                       "non-finite state")
         # only a zero rate norm can mean that no node moved (or it underflowed)
-        stopped = ~delta.any(axis=-1) if _FAST_FORWARD and 0.0 in rate_l2.tolist() else None
+        stopped = ~delta.any(axis=-1) if _FAST_FORWARD and 0.0 in rates else None
         u = u_next
 
     if k < n_steps:  # every member stopped moving: take the snapshots still due
         later = np.arange(k + 1, n_steps + 1)
-        for j in later[(later % cfg.snapshot_stride == 0) | (later == n_steps)]:
+        for j in later[(later % stride == 0) | (later == n_steps)]:
             snapshot(j, u)
     trajs = [trajectory(b, n_steps) for b in range(n_members)]
     return trajs[0] if single else trajs

@@ -119,6 +119,27 @@ class TestRunCommand:
         assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
         assert "outputs: stride" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_stride_not_an_integer_exits_2(self, tmp_path, capsys, value):
+        doc = run_config(tmp_path)
+        doc["outputs"]["stride"] = value
+        assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+        assert "outputs: stride" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scheme", ["implicit_obstacle", "yosida"])
+    @pytest.mark.parametrize("key", ["newton_max_iter", "pgs_max_iter"])
+    @pytest.mark.parametrize("value", [2.5, "abc", 0, -3, True])
+    def test_iteration_budget_not_a_positive_integer_exits_2(self, tmp_path, capsys, scheme,
+                                                             key, value):
+        doc = run_config(tmp_path)
+        if scheme == "yosida":  # within the stability bound of this grid
+            doc["solver"] = {"scheme": "yosida", "dt": 2.0**-12, "t_end": 2.0**-8}
+        doc["solver"][key] = value
+        assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+        assert f"solver: {key} must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_initial_csv_with_malformed_header_exits_2(self, tmp_path):
         path = malformed_header_csv(tmp_path, make_grid(1, (-1, 1), 63))
         doc = run_config(tmp_path, initial={"csv": str(path)})

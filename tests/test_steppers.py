@@ -682,3 +682,171 @@ class TestFastForward:
             partials.append(info.value.trajectory)
         assert partials[0].failure["step"] == 10
         assert_bitwise(*partials)
+
+
+def one_step_config(g, scheme, dt):
+    return SolverConfig(scheme=scheme, dt=dt, t_end=dt, snapshot_stride=1, yosida_lambda=1e-2)
+
+
+GRIDS = {"1d": lambda: make_grid(1, (-1, 1), 31),
+         "2d": lambda: make_grid(2, ((-1, 1), (-1, 1)), (15, 11))}
+
+
+def bump_on(g):
+    if g.dim == 1:
+        return make_initial("bump", g, P1, center=0.1, width=0.6, height=0.4)
+    return make_initial("bump", g, P1, center=[0.0, 0.1], width=[0.6, 0.5], height=0.4)
+
+
+class TestPublicStepsAreRawSteps:
+    """Each public step equals one step of run() bit for bit."""
+
+    @pytest.mark.parametrize("dim", GRIDS)
+    def test_explicit(self, dim):
+        g = GRIDS[dim]()
+        u0, dt = bump_on(g), cfl_limit(g) / 2
+        traj = run(g, u0, P1, one_step_config(g, "explicit", dt))
+        assert step_explicit(g, u0, P1, dt).values.tobytes() == traj.snapshots[1].values.tobytes()
+
+    @pytest.mark.parametrize("dim", GRIDS)
+    def test_yosida_and_its_rate_and_resolvent(self, dim):
+        g = GRIDS[dim]()
+        u0, dt, lam = bump_on(g), cfl_limit(g) / 2, 1e-2
+        traj = run(g, u0, P1, one_step_config(g, "yosida", dt))
+        stepped = step_yosida(g, u0, P1, dt, lam).values
+        assert stepped.tobytes() == traj.snapshots[1].values.tobytes()
+        rate = yosida_rhs(g, u0, P1, lam).values
+        assert (u0.values + dt * rate).tobytes() == stepped.tobytes()
+        w = resolvent_jlambda(g, u0, lam).values
+        assert np.maximum(P1.kappa * u0.values - (u0.values - w) / lam, 0.0).tobytes() \
+            == rate.tobytes()
+
+    @pytest.mark.parametrize("dim", GRIDS)
+    def test_implicit_obstacle(self, dim):
+        g = GRIDS[dim]()
+        u0 = bump_on(g)
+        traj = run(g, u0, P1, one_step_config(g, "implicit_obstacle", 0.05))
+        u1, eta = step_implicit_obstacle(g, u0, P1, 0.05)
+        assert u1.values.tobytes() == traj.snapshots[1].values.tobytes()
+        assert eta.values.tobytes() == traj.multipliers[0].values.tobytes()
+
+
+class TestPublicStepsCheckDt:
+    @pytest.mark.parametrize("dt", [-1e-3, 0.0, np.nan, np.inf])
+    def test_bad_dt_rejected_naming_dt(self, dt):
+        g = make_grid(1, (-1, 1), 31)
+        u = bump_on(g)
+        for step in (lambda: step_explicit(g, u, P1, dt),
+                     lambda: step_yosida(g, u, P1, dt, lam=1e-2),
+                     lambda: step_implicit_obstacle(g, u, P1, dt)):
+            with pytest.raises(ValueError, match="^dt"):
+                step()
+
+    def test_yosida_cfl_violation_rejected(self):
+        g = make_grid(1, (0, 1), 31)
+        with pytest.raises(ValueError, match="^dt=.*stability"):
+            step_yosida(g, zero_field(g), P1, 3 * cfl_limit(g), lam=1e-2)
+
+    def test_iteration_budgets_must_be_positive_integers(self):
+        g = make_grid(1, (0, 1), 15)
+        for key in ("newton_max_iter", "pgs_max_iter"):
+            for value in (2.5, "abc", 0, -3, True):
+                cfg = SolverConfig(scheme="implicit_obstacle", dt=0.1, t_end=1.0, **{key: value})
+                with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+                    cfg.validate(g, P1)
+            SolverConfig(scheme="implicit_obstacle", dt=0.1, t_end=1.0,
+                         **{key: np.int64(3)}).validate(g, P1)
+
+
+def runs_by_block(monkeypatch, g, members, cfg, blocks=(1, 7, steppers.DIAG_BLOCK)):
+    """The same run with the diagnostics flushed every `block` states, for each block."""
+    runs = []
+    for block in blocks:
+        monkeypatch.setattr(steppers, "DIAG_BLOCK", block)
+        runs.append(run(g, members, P1, cfg))
+    return runs
+
+
+class TestFlushPath:
+    @pytest.mark.parametrize("scheme", ["yosida", "implicit_obstacle"])
+    def test_block_size_does_not_change_results(self, monkeypatch, scheme):
+        g = make_grid(1, (-1, 1), 31)
+        members = [make_initial("zero", g, P1)] + ensemble_members(g)  # zero freezes at step 1
+        cfg = scheme_config(g, scheme, n_steps=30, stride=7)
+        for same in zip(*runs_by_block(monkeypatch, g, members, cfg)):
+            for traj in same[1:]:
+                assert_bitwise(traj, same[0])
+
+    @pytest.mark.parametrize("scheme", ["explicit", "yosida", "implicit_obstacle"])
+    def test_block_size_does_not_change_2d_ensemble(self, monkeypatch, scheme):
+        g = GRIDS["2d"]()
+        members = [bump_on(g), make_initial("eigenfunction", g, P1, c=0.5)]
+        cfg = scheme_config(g, scheme, n_steps=12, stride=4)
+        for same in zip(*runs_by_block(monkeypatch, g, members, cfg)):
+            for traj in same[1:]:
+                assert_bitwise(traj, same[0])
+
+    def test_freeze_inside_a_block(self, monkeypatch):
+        g = make_grid(1, (0, 1), 63)
+        members = [make_initial("bump", g, P1, center=0.5, width=0.25, height=0.2),
+                   make_initial("bump", g, P1, center=0.4, width=0.3, height=0.5)]
+        cfg = SolverConfig(scheme="implicit_obstacle", dt=0.01, t_end=1.0, snapshot_stride=7)
+        monkeypatch.setattr(steppers, "_FAST_FORWARD", False)
+        stepped = run(g, members, P1, cfg)
+        monkeypatch.setattr(steppers, "_FAST_FORWARD", True)
+        # the first step that moves no node; the member freezes after recording the state
+        # that step leads to, while 7-state blocks hold states 7j .. 7j + 6
+        stops = [int(np.flatnonzero(t.du_dt_l2)[-1]) + 1 for t in stepped]
+        assert min(stops) < cfg.n_steps() - 1
+        block = next(b for b in (7, 5, 3) if (min(stops) + 2) % b)
+        for fast, slow in zip(runs_by_block(monkeypatch, g, members, cfg, (block,))[0], stepped):
+            assert_bitwise(fast, slow)
+
+    def test_nonfinite_yosida_member_inside_a_block(self, monkeypatch):
+        g = make_grid(1, (-1, 1), 31)
+        members = ensemble_members(g)  # the eigenfunction freezes at step 1
+        cfg = scheme_config(g, "yosida")
+        reference = run(g, members[1], P1, cfg)
+        real = steppers._resolvent_raw
+        calls = []
+
+        def poisoned(grid, v, lam, *args, **kwargs):
+            w = real(grid, v, lam, *args, **kwargs)
+            calls.append(None)
+            if len(calls) == 11:  # the resolvent of step 10; row 1 is member 1
+                w[1, 5] = np.inf
+            return w
+
+        monkeypatch.setattr(steppers, "DIAG_BLOCK", 4)  # step 10 sits inside a block
+        monkeypatch.setattr(steppers, "_resolvent_raw", poisoned)
+        with pytest.raises(SolverError, match="^member 1: state left the finite range at "
+                                              "step 10") as info:
+            run(g, members, P1, cfg)
+        partial = info.value.trajectory
+        assert partial.failure == {"step": 10, "message": "non-finite state"}
+        for name in ("diag", "res_l2sq", "obstacle_gap_min"):
+            assert getattr(partial, name).tobytes() == getattr(reference, name)[:11].tobytes()
+        for name in ("du_dt_l2", "step_min_increment", "inner_iterations"):
+            assert getattr(partial, name).tobytes() == getattr(reference, name)[:10].tobytes()
+        assert partial.snapshot_times.tolist() == reference.snapshot_times[:2].tolist()
+
+
+def test_family_run_flushes_at_most_150_times_per_6144_steps(monkeypatch):
+    # the shape of the benchmark's preset family: 6 rows of 127 nodes, 3 of them fixed points
+    g = make_grid(1, (-1, 1), 127)
+    members = [make_initial("zero", g, P1), make_initial("eigenfunction", g, P1, c=0.7),
+               make_initial("supersolution", g, P1, c=1.0), bump_on(g),
+               make_initial("abs_edge", g, P1), make_initial("neg_const", g, P1)]
+    dt = 2.0**-14
+    cfg = SolverConfig(scheme="explicit", dt=dt, t_end=6144 * dt, snapshot_stride=1536)
+    real = steppers._snapshot_values
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(steppers, "_snapshot_values", counted)
+    trajs = run(g, members, P1, cfg)
+    assert [bool(np.any(t.du_dt_l2)) for t in trajs] == [False] * 3 + [True] * 3
+    assert len(calls) <= 150
