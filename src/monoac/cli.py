@@ -295,6 +295,8 @@ def _sweep_yosida(args, doc) -> int:
 
     # the members differ in yosida_lambda only, so they step as one ensemble
     cfgs = [parse_solver({**base, "yosida_lambda": lam}, g, p, stride) for lam in lambdas]
+    if not _compared_times(cfgs[0]) & _compared_times(ref_cfg):
+        raise ConfigError("sweep: members and reference share no snapshot time after t = 0")
     try:
         trajs = run(g, [u0] * len(cfgs), p, cfgs)
         ref = run(g, u0, p, ref_cfg)
@@ -313,6 +315,11 @@ def _sweep_yosida(args, doc) -> int:
     _write_sweep_outputs(outdir, doc, aggregate)
     _say(args, f"errors by lambda: {dict(zip(lambdas, errors))}")
     return 0 if decreasing else 4
+
+
+def _compared_times(cfg) -> set:
+    """Snapshot times after t = 0 as diagnostics.snapshot_error matches them."""
+    return {round(float(t), 12) for t in cfg.dt * cfg.snapshot_steps()[1:]}
 
 
 def _sweep_family(args, doc) -> int:

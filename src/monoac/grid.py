@@ -151,9 +151,6 @@ class Field:
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    def reshaped(self) -> np.ndarray:
-        return self.values.reshape(self.grid.shape)
-
 
 def make_grid(dim, endpoints, n_interior) -> Grid:
     """Build a uniform Dirichlet grid.

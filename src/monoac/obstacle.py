@@ -8,13 +8,15 @@ with multiplier eta_hat = -G(u) <= 0 supported on the contact set.  The same
 form covers a backward-Euler step (a = 1/dt, obstacle = previous state) and
 the stationary problem (a = 0, obstacle = initial datum, polish mode only).
 
-Three routes are provided: projected nonlinear Gauss-Seidel, a primal-dual
-active-set Newton method, and an exhaustive active-set enumeration usable as
-an oracle on tiny problems.
+Three routes are provided: projected nonlinear Gauss-Seidel, the primal-dual
+active set as a semismooth Newton method (one linear solve per pass, with
+projected Gauss-Seidel behind it), and an exhaustive active-set enumeration
+usable as an oracle on tiny problems.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass
 
@@ -156,84 +158,74 @@ def solve_pgs(prob: ObstacleProblem, u_init: Field, tol: float = 1e-11,
 def solve_active_set(prob: ObstacleProblem, u_init: Field, tol: float = 1e-10,
                      max_iter: int | None = None, newton_max_iter: int = 50,
                      pgs_tol: float = 1e-11, pgs_max_iter: int = 100_000):
-    """Primal-dual active-set Newton solve of the complementarity system.
+    """Primal-dual active set as a semismooth Newton method (Hintermueller, Ito, Kunisch 2002).
 
-    Alternates an active-set guess with an equality-constrained Newton solve
-    (contact nodes frozen on the obstacle) and stops once the full KKT system
-    is satisfied: stationarity off contact and wrong-signed multiplier mass
-    both below tol.  Detected cycling or a failed Newton solve falls back to
-    solve_pgs, run with pgs_tol and pgs_max_iter.
+    Each pass guesses the contact set {G(u) + psi - u > 0}, pins u to psi on it
+    and takes one damped Newton step for G = 0 off it, until the KKT system
+    holds: stationarity off contact and wrong-signed multiplier mass below tol.
+    A guess is adopted only if it is new or the current set is solved
+    (stationarity below tol), which keeps full steps from alternating between
+    two sets; guessing a solved set again is a cycle.  max_iter bounds the sets
+    adopted (the count returned), newton_max_iter the consecutive steps on one
+    set.  A cycle, a spent budget or a failed step falls back to solve_pgs,
+    run with pgs_tol and pgs_max_iter.
 
-    Contact can release as a front moving one node per sweep (kinked data do
-    exactly this), so the default sweep budget scales with the node count.
+    Contact can release as a front moving one node per set (kinked data do
+    exactly this), so the default set budget scales with the node count.
     """
     g = prob.grid
     if max_iter is None:
         max_iter = max(60, 2 * g.n_nodes)
     psi = prob.psi.values
-    u = np.maximum(u_init.values.copy(), psi)
-    mu = prob.stationarity(u)  # -eta_hat estimate
-    primal_tol = 1e-13 * (1.0 + float(np.max(np.abs(psi))))
-    seen = set()
-    for it in range(1, max_iter + 1):
-        active = (mu + (psi - u)) > 0.0  # ties classified inactive
-        key = active.tobytes()
-        if key in seen:
-            break  # cycling
-        seen.add(key)
-        u = np.where(active, psi, u)
-        ok = _newton_inactive(prob, u, active, tol, max_newton=newton_max_iter)
-        if not ok:
-            break
-        resid = prob.stationarity(u)
-        mu = np.where(active, resid, 0.0)
-        dual_violation = float(np.max(-mu)) if active.any() else 0.0
-        stat = float(np.max(np.abs(np.where(active, 0.0, resid))))
-        primal = float(np.max(psi - u))
-        if stat <= tol and dual_violation <= max(tol, 1e-12) and primal <= primal_tol:
-            u = np.maximum(u, psi)
-            eta = np.where(active, np.minimum(-mu, 0.0), 0.0)
-            return Field(g, u), Field(g, eta), it
-    return solve_pgs(prob, Field(g, np.maximum(u, psi)), tol=pgs_tol, max_iter=pgs_max_iter)
-
-
-def _newton_inactive(prob: ObstacleProblem, u: np.ndarray, active: np.ndarray,
-                     tol: float, max_newton: int = 60) -> bool:
-    """Newton for G(u) = 0 on the inactive nodes, contact values frozen.
-
-    Mutates u in place; returns False on stagnation or a singular system.
-    """
-    if active.all():
-        return True
-    g = prob.grid
     shift = prob.diag_shift()
-
-    def inactive_res(v):
-        return np.where(active, 0.0, prob.stationarity(v))
-
-    res = inactive_res(u)
-    norm = float(np.max(np.abs(res)))
-    for _ in range(max_newton):
+    u = np.maximum(u_init.values, psi)
+    resid = prob.stationarity(u)
+    primal_tol = 1e-13 * (1.0 + float(np.max(np.abs(psi))))
+    solved = {}  # 8-byte digest of each adopted set -> its inner problem reached tol
+    current, norm = None, np.inf  # norm: stationarity off the current set
+    adopted = newton_steps = 0
+    while True:
+        guess = (resid + (psi - u)) > 0.0  # ties classified inactive
+        key = hashlib.blake2b(guess.tobytes(), digest_size=8).digest()
+        if key != current and (key not in solved or norm <= tol):
+            if solved.get(key) or adopted == max_iter:
+                break  # a solved set guessed again (cycling), or the set budget spent
+            active, free, current = guess, ~guess, key
+            solved[key] = False
+            adopted += 1
+            newton_steps = 0
+            u = np.where(active, psi, u)
+            resid = prob.stationarity(u)
+            norm = float(np.max(np.abs(resid[free]), initial=0.0))
         if norm <= tol:
-            return True
-        diag = shift + 3.0 * u * u
+            if (float(np.max(-resid[active], initial=0.0)) <= max(tol, 1e-12)
+                    and float(np.max(psi - u)) <= primal_tol):
+                eta = np.where(active, np.minimum(-resid, 0.0), 0.0)
+                return Field(g, np.maximum(u, psi)), Field(g, eta), adopted
+            if solved[current]:
+                break  # the solved set is guessed again: cycling
+            solved[current] = True
+            continue
+        if newton_steps == newton_max_iter:
+            break
+        newton_steps += 1
         try:
-            delta = solve_shifted(g, diag, -res, fixed=active)
+            delta = solve_shifted(g, shift + 3.0 * u * u, np.where(free, -resid, 0.0),
+                                  fixed=active)
         except LinearSolveError:
-            return False
+            break
         step = 1.0
         while step > 1e-12:
             trial = u + step * delta
-            trial_res = inactive_res(trial)
-            trial_norm = float(np.max(np.abs(trial_res)))
+            trial_resid = prob.stationarity(trial)
+            trial_norm = float(np.max(np.abs(trial_resid[free]), initial=0.0))
             if trial_norm < norm:
-                u[:] = trial
-                res, norm = trial_res, trial_norm
                 break
             step *= 0.5
         else:
-            return False
-    return norm <= tol
+            break
+        u, resid, norm = trial, trial_resid, trial_norm
+    return solve_pgs(prob, Field(g, np.maximum(u, psi)), tol=pgs_tol, max_iter=pgs_max_iter)
 
 
 def brute_force_obstacle(prob: ObstacleProblem, newton_tol: float = 1e-13,

@@ -16,7 +16,6 @@ snapshots on a stride.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -25,7 +24,6 @@ from ._linsolve import LinearSolveError, solve_shifted
 from .grid import Field, Grid, lap_array
 from .model import (
     SNAPSHOT_COLUMNS,
-    EnergySnapshot,
     ModelParams,
     _snapshot_values,
     residual_array,
@@ -115,6 +113,11 @@ class SolverConfig:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
+    def snapshot_steps(self) -> np.ndarray:
+        """The steps whose states a run stores: every snapshot_stride-th, and the last."""
+        k = np.arange(self.n_steps() + 1)
+        return k[(k % self.snapshot_stride == 0) | (k == k[-1])]
+
 
 @dataclass
 class Trajectory:
@@ -142,7 +145,6 @@ class Trajectory:
     snapshots: list[Field]
     multipliers: list[Field] | None = None
     eta_hat_gap_l2: np.ndarray | None = None
-    wall_time: float = 0.0
     failure: dict | None = dataclass_field(default=None)
 
     def n_steps(self) -> int:
@@ -150,9 +152,6 @@ class Trajectory:
 
     def series(self, name: str) -> np.ndarray:
         return self.diag[:, SNAPSHOT_COLUMNS.index(name)]
-
-    def snapshot_row(self, k: int) -> EnergySnapshot:
-        return EnergySnapshot(*self.diag[k])
 
     def final_state(self) -> Field:
         return self.snapshots[-1]
@@ -401,7 +400,6 @@ def run(g: Grid, u0, p: ModelParams, cfg):
     states = np.repeat(u[None], block + 1, axis=0)
     resids = np.empty((block,) + u.shape)
     flushed = pending = 0  # states before `flushed` have their rows; `pending` more are buffered
-    started = time.perf_counter()
 
     def flush():
         nonlocal flushed, pending
@@ -445,7 +443,7 @@ def run(g: Grid, u0, p: ModelParams, cfg):
             snapshot_times=np.array(snap_times), snapshots=snapshots[b],
             multipliers=None if multipliers is None else multipliers[b],
             eta_hat_gap_l2=None if eta_gap is None else eta_gap[b, 1:k + 1],
-            wall_time=time.perf_counter() - started, failure=failure,
+            failure=failure,
         )
 
     def fail(b: int, k: int, message: str, detail: str, report=None) -> SolverError:
@@ -505,8 +503,8 @@ def run(g: Grid, u0, p: ModelParams, cfg):
         u = u_next
 
     if k < n_steps:  # every member stopped moving: take the snapshots still due
-        later = np.arange(k + 1, n_steps + 1)
-        for j in later[(later % stride == 0) | (later == n_steps)]:
+        due = cfg.snapshot_steps()
+        for j in due[due > k]:
             snapshot(j, u)
     trajs = [trajectory(b, n_steps) for b in range(n_members)]
     return trajs[0] if single else trajs

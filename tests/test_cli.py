@@ -516,6 +516,23 @@ class TestSweepCommand:
         }
         assert main(["sweep", "--config", write_config(tmp_path, doc), "--quiet"]) == 7
 
+    def test_yosida_sweep_without_common_snapshot_times_exits_2(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # the members snapshot at t = 1/16 only, the reference at 1/32 and 3/64
+        doc = yosida_sweep_doc()
+        doc["domain"]["n_interior"] = 15
+        doc["base_solver"] = {"dt": 2.0**-10, "t_end": 0.0625, "snapshot_stride": 64}
+        doc["reference_solver"] = {"dt": 2.0**-7, "t_end": 0.046875, "snapshot_stride": 4}
+        doc["outputs"] = {"directory": str(tmp_path / "sweep")}
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the sweep stepped before refusing its config")
+
+        monkeypatch.setattr("monoac.cli.run", no_stepping)
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+        assert "share no snapshot time" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     @pytest.mark.parametrize("section,key,value", [
         ("base_solver", "snapshot_stride", "x"),
         ("reference_solver", "snapshot_stride", "x"),

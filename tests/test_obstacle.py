@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,21 @@ def random_problem(rng, n=None, dim=1, kappa_implicit=False, a_range=(0.5, 50.0)
 
 def zero_field(g):
     return Field(g, np.zeros(g.n_nodes))
+
+
+def criterion_2_instances():
+    """The 200 oracle instances of acceptance criterion 2, drawn in the same order."""
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        g = make_grid(1, (0, 1), n)
+        kappa_implicit = bool(rng.integers(0, 2))
+        a = float(rng.uniform(0.5, 50.0))
+        if kappa_implicit:
+            a = max(a, P1.kappa + 0.5)
+        yield ObstacleProblem(grid=g, psi=Field(g, rng.normal(scale=0.5, size=n)), a=a,
+                              b=Field(g, rng.normal(scale=3.0, size=n)),
+                              kappa_implicit=kappa_implicit, params=P1)
 
 
 class TestPgs:
@@ -149,6 +166,59 @@ class TestActiveSet:
             ub, _ = brute_force_obstacle(prob)
             ua, _, _ = solve_active_set(prob, zero_field(prob.grid))
             assert np.max(np.abs(ua.values - ub.values)) <= 1e-10
+
+
+class TestSemismoothLoop:
+    @pytest.fixture
+    def no_pgs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the active-set loop fell back to PGS")
+
+        monkeypatch.setattr("monoac.obstacle.solve_pgs", refuse)
+
+    def test_two_cycle_instance_converges_without_pgs(self, no_pgs):
+        # draw 167 (n = 9, kappa inside, a ~ 6.155): a full-step iteration alternates
+        # between contact sets {4, 7} and {4, 5, 7} and never settles
+        prob = next(itertools.islice(criterion_2_instances(), 167, None))
+        u, _, _ = solve_active_set(prob, zero_field(prob.grid))
+        ub, _ = brute_force_obstacle(prob)
+        assert np.max(np.abs(u.values - ub.values)) <= 1e-10
+
+    def test_criterion_2_instances_need_no_pgs(self, no_pgs):
+        for prob in criterion_2_instances():
+            solve_active_set(prob, zero_field(prob.grid))
+
+    def test_linear_solves_on_a_2d_bump(self, monkeypatch):
+        from monoac import obstacle
+
+        calls = []
+        solve_shifted = obstacle.solve_shifted
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_shifted(*args, **kwargs)
+
+        monkeypatch.setattr(obstacle, "solve_shifted", counted)
+        g = make_grid(2, ((-1, 1), (-1, 1)), (63, 63))
+        u0 = make_initial("bump", g, P1, center=(0.0, 0.0), width=(0.6, 0.6), height=0.35)
+        run(g, u0, P1, SolverConfig(scheme="implicit_obstacle", dt=0.01, t_end=0.05))
+        assert len(calls) <= 20
+
+    def test_one_newton_step_per_set_reaches_the_fallback(self, monkeypatch):
+        from monoac import obstacle
+
+        fallbacks = []
+
+        def counted(*args, **kwargs):
+            fallbacks.append(1)
+            return solve_pgs(*args, **kwargs)
+
+        monkeypatch.setattr(obstacle, "solve_pgs", counted)
+        prob = next(criterion_2_instances())
+        u, _, _ = solve_active_set(prob, zero_field(prob.grid), newton_max_iter=1)
+        ub, _ = brute_force_obstacle(prob)
+        assert fallbacks == [1]
+        assert np.max(np.abs(u.values - ub.values)) <= 1e-10
 
 
 class TestBruteForce:
