@@ -14,7 +14,6 @@ Subcommands: run, verify, eigen, equilibrium, sweep.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -162,10 +161,7 @@ def cmd_eigen(args) -> int:
         return 5
     outdir = args.out or (doc.get("outputs") or {}).get("directory")
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "eigen.json"), "w") as f:
-            json.dump({**result.to_dict(), "config": doc}, f, indent=2, sort_keys=True)
-            f.write("\n")
+        runio.write_json(os.path.join(outdir, "eigen.json"), {**result.to_dict(), "config": doc})
         write_field_csv(os.path.join(outdir, "eigenfield.csv"), result.eigenfield)
     _say(args, f"lambda_min = {result.lambda_min!r} "
                f"(residual {result.residual:.3e}, {result.iterations} iterations)")
@@ -240,10 +236,7 @@ def cmd_equilibrium(args) -> int:
                "distance_from_warm_start_inf": float(np.max(np.abs(eq.values - warm.values))),
                "config": doc}
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "equilibrium.json"), "w") as f:
-            json.dump(doc_out, f, indent=2, sort_keys=True)
-            f.write("\n")
+        runio.write_json(os.path.join(outdir, "equilibrium.json"), doc_out)
         write_field_csv(os.path.join(outdir, "equilibrium.csv"), eq)
         write_field_csv(os.path.join(outdir, "multiplier.csv"), eta)
     _say(args, f"equilibrium residuals: {report.to_dict()}")
@@ -262,15 +255,9 @@ def cmd_sweep(args) -> int:
 
 
 def _write_sweep_outputs(outdir, doc, aggregate):
-    if not outdir:
-        return
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "sweep.json"), "w") as f:
-        json.dump(aggregate, f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(os.path.join(outdir, "sweep_manifest.json"), "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    if outdir:
+        runio.write_json(os.path.join(outdir, "sweep.json"), aggregate)
+        runio.write_json(os.path.join(outdir, "sweep_manifest.json"), doc)
 
 
 def _sweep_yosida(args, doc) -> int:
@@ -293,33 +280,25 @@ def _sweep_yosida(args, doc) -> int:
     ref_cfg = parse_solver(ref_section, g, p, ref_stride)
     outdir = args.out or (doc.get("outputs") or {}).get("directory")
 
-    # the members differ in yosida_lambda only, so they step as one ensemble
     cfgs = [parse_solver({**base, "yosida_lambda": lam}, g, p, stride) for lam in lambdas]
-    if not _compared_times(cfgs[0]) & _compared_times(ref_cfg):
-        raise ConfigError("sweep: members and reference share no snapshot time after t = 0")
     try:
-        trajs = run(g, [u0] * len(cfgs), p, cfgs)
-        ref = run(g, u0, p, ref_cfg)
-    except (SolverError, ValueError) as exc:
+        trajs, ref, report = diagnostics.yosida_sweep(g, u0, p, cfgs, ref_cfg)
+    except SolverError as exc:
         print(f"sweep member failure: {exc}", file=sys.stderr)
         return 7
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from None
     if outdir:
         for lam, traj in zip(lambdas, trajs):
             runio.write_trajectory(traj, os.path.join(outdir, f"lambda_{lam!r}"),
                                    config_echo={**doc, "member_lambda": lam})
         runio.write_trajectory(ref, os.path.join(outdir, "reference"), config_echo=doc)
-    errors = [diagnostics.snapshot_error(traj, ref)[0] for traj in trajs]
-    decreasing = all(b < a for a, b in zip(errors, errors[1:])) or max(errors) <= 1e-12
+    errors = report.details["errors"]
     aggregate = {"kind": "yosida_lambda", "lambdas": lambdas, "errors": errors,
-                 "monotone_decreasing": decreasing}
+                 "monotone_decreasing": report.passed}
     _write_sweep_outputs(outdir, doc, aggregate)
     _say(args, f"errors by lambda: {dict(zip(lambdas, errors))}")
-    return 0 if decreasing else 4
-
-
-def _compared_times(cfg) -> set:
-    """Snapshot times after t = 0 as diagnostics.snapshot_error matches them."""
-    return {round(float(t), 12) for t in cfg.dt * cfg.snapshot_steps()[1:]}
+    return 0 if report.passed else 4
 
 
 def _sweep_family(args, doc) -> int:

@@ -172,8 +172,8 @@ class RunSetup:
     echo: dict
 
 
-def parse_run_config(doc: dict, path_hint: str = "config") -> RunSetup:
-    _require_keys(doc, path_hint, ("domain", "model", "initial", "solver", "outputs"),
+def parse_run_config(doc: dict) -> RunSetup:
+    _require_keys(doc, "config", ("domain", "model", "initial", "solver", "outputs"),
                   ("checks",))
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"])

@@ -8,7 +8,7 @@ violation as a ratio against its own clause tolerance (tolerance 1.0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "check_absorbing",
     "check_smoothing",
     "snapshot_error",
+    "yosida_sweep",
     "check_yosida_convergence",
     "check_energy_flux",
     "check_gradient_flux",
@@ -148,20 +149,15 @@ def check_comparison(traj_lo: Trajectory, traj_hi: Trajectory,
         raise ValueError("comparison requires matching grid, params and scheme")
     if float(np.max(traj_lo.u0.values - traj_hi.u0.values)) > 0:
         raise ValueError("initial data are not ordered low <= high")
-    lo_times = {round(float(t), 12): i for i, t in enumerate(traj_lo.snapshot_times)}
     worst, loc = 0.0, None
-    matched = 0
-    for j, t in enumerate(traj_hi.snapshot_times):
-        i = lo_times.get(round(float(t), 12))
-        if i is None:
-            continue
-        matched += 1
+    pairs = _common_times(traj_hi.snapshot_times, traj_lo.snapshot_times)
+    for j, i in pairs:
         v = float(np.max(traj_lo.snapshots[i].values - traj_hi.snapshots[j].values))
         if v > worst:
-            worst, loc = v, float(t)
-    if matched == 0:
+            worst, loc = v, float(traj_hi.snapshot_times[j])
+    if not pairs:
         raise ValueError("trajectories share no snapshot times")
-    return _report("comparison", worst, tol, loc, common_times=matched)
+    return _report("comparison", worst, tol, loc, common_times=len(pairs))
 
 
 def check_dissipation(traj: Trajectory, p: ModelParams | None = None,
@@ -285,60 +281,69 @@ def check_smoothing(traj: Trajectory, tol: float = 1e-6) -> CheckReport:
                    finite=bool(np.isfinite(sup_smoothing)))
 
 
+def _common_times(times, other) -> list[tuple[int, int]]:
+    """Index pairs (i, j) with times[i] == other[j] after rounding to 12 digits."""
+    index = {round(float(t), 12): j for j, t in enumerate(other)}
+    keys = (round(float(t), 12) for t in times)
+    return [(i, index[k]) for i, k in enumerate(keys) if k in index]
+
+
 def snapshot_error(traj: Trajectory, ref: Trajectory) -> tuple[float, int]:
     """Largest L2 distance from traj to ref over their common snapshot times.
 
-    Times match after rounding to 12 digits and t = 0 is skipped; returns the
-    error and the number of matched times.
+    t = 0 is skipped; returns the error and the number of matched times.
     """
     g = traj.grid
-    ref_times = {round(float(t), 12): i for i, t in enumerate(ref.snapshot_times)}
-    err, matched = 0.0, 0
-    for j, t in enumerate(traj.snapshot_times):
-        i = ref_times.get(round(float(t), 12))
-        if i is None or t == 0.0:
-            continue
-        matched += 1
-        err = max(err, norm_lp(g, Field(g, traj.snapshots[j].values
-                                        - ref.snapshots[i].values), 2))
-    return err, matched
+    pairs = [(j, i) for j, i in _common_times(traj.snapshot_times, ref.snapshot_times)
+             if traj.snapshot_times[j] != 0.0]
+    err = max((norm_lp(g, Field(g, traj.snapshots[j].values - ref.snapshots[i].values), 2)
+               for j, i in pairs), default=0.0)
+    return err, len(pairs)
+
+
+YOSIDA_ZERO_ERROR = 1e-12  # errors this small mean frozen data: every route is exact
+
+
+def yosida_sweep(g, u0: Field, p: ModelParams, cfgs, reference_cfg: SolverConfig):
+    """Run a regularization sweep and judge it; returns (members, reference, report).
+
+    cfgs are the members' yosida configs, with strictly decreasing yosida_lambda;
+    they step as one ensemble, the reference once.  The report passes when the
+    errors against the reference at the common snapshot times after t = 0
+    strictly decrease, or are all at most YOSIDA_ZERO_ERROR; its worst violation
+    counts the lambda steps whose error did not shrink.  Bad input raises
+    ValueError before any stepping.
+    """
+    cfgs = list(cfgs)
+    lambdas = [c.yosida_lambda for c in cfgs]
+    if not cfgs or any(b >= a for a, b in zip(lambdas, lambdas[1:])):
+        raise ValueError("lambdas must be a non-empty, strictly decreasing sequence")
+    if any(c.scheme != "yosida" for c in cfgs):
+        raise ValueError("every member must use the yosida scheme")
+    times = [c.dt * c.snapshot_steps()[1:] for c in (cfgs[0], reference_cfg)]
+    if not _common_times(*times):
+        raise ValueError("members and reference share no snapshot time after t = 0")
+    members = run(g, [u0] * len(cfgs), p, cfgs)
+    reference = run(g, u0, p, reference_cfg)
+    errors = [snapshot_error(m, reference)[0] for m in members]
+    rises = 0 if max(errors) <= YOSIDA_ZERO_ERROR else \
+        sum(b >= a for a, b in zip(errors, errors[1:]))
+    report = _report("yosida_convergence", rises, 0.0, None,
+                     lambdas=list(map(float, lambdas)), errors=errors)
+    return members, reference, report
 
 
 def check_yosida_convergence(g, u0: Field, p: ModelParams, base_cfg: SolverConfig,
-                             lambdas, reference_cfg: SolverConfig | None = None,
-                             zero_floor: float = 1e-12) -> CheckReport:
+                             lambdas, reference_cfg: SolverConfig | None = None) -> CheckReport:
     """Errors against an implicit reference shrink as the regularization does.
 
-    Runs one regularized trajectory per lambda (strictly decreasing sequence),
-    all as one ensemble, and compares each to the reference at the common
-    snapshot times.
+    One yosida member per lambda, each base_cfg with that lambda; see yosida_sweep.
     """
-    lambdas = list(lambdas)
-    if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
-        raise ValueError("lambdas must be strictly decreasing")
-    if reference_cfg is None:
-        reference_cfg = SolverConfig(
-            scheme="implicit_obstacle", dt=base_cfg.dt * 16, t_end=base_cfg.t_end,
-            splitting="convex_split",
-            snapshot_stride=max(1, base_cfg.snapshot_stride // 16),
-        )
-    cfgs = [SolverConfig(scheme="yosida", dt=base_cfg.dt, t_end=base_cfg.t_end,
-                         yosida_lambda=lam, newton_tol=base_cfg.newton_tol,
-                         snapshot_stride=base_cfg.snapshot_stride) for lam in lambdas]
-    trajs = run(g, [u0] * len(cfgs), p, cfgs)  # one ensemble for every lambda
-    ref = run(g, u0, p, reference_cfg)
-    errors = []
-    for traj in trajs:
-        err, matched = snapshot_error(traj, ref)
-        if matched == 0:
-            raise ValueError("no common sample times between the sweeps and the reference")
-        errors.append(err)
-    if max(errors) <= zero_floor:
-        worst = 0.0  # frozen data: every route is exact
-    else:
-        worst = max(b - a for a, b in zip(errors, errors[1:]))
-    return _report("yosida_convergence", worst, 0.0, None,
-                   lambdas=list(map(float, lambdas)), errors=[float(e) for e in errors])
+    reference_cfg = reference_cfg or SolverConfig(
+        scheme="implicit_obstacle", dt=base_cfg.dt * 16, t_end=base_cfg.t_end,
+        snapshot_stride=max(1, base_cfg.snapshot_stride // 16))
+    cfgs = [replace(base_cfg, scheme="yosida", yosida_lambda=lam) for lam in lambdas]
+    return yosida_sweep(g, u0, p, cfgs, reference_cfg)[2]
 
 
 def check_energy_flux(traj: Trajectory, slack: float | None = None) -> CheckReport:

@@ -6,6 +6,7 @@ configurations produce byte-identical CSV files.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -21,6 +22,7 @@ __all__ = [
     "read_trajectory",
     "manifest_sha256",
     "write_verification",
+    "write_json",
 ]
 
 DIAGNOSTICS_FILE = "diagnostics.csv"
@@ -55,8 +57,8 @@ def write_trajectory(traj: Trajectory, outdir, config_echo: dict | None = None) 
 
     g = traj.grid
     manifest = {
-        "config": config_echo if config_echo is not None else _config_dict(traj.config),
-        "solver": _config_dict(traj.config),
+        "config": config_echo if config_echo is not None else dataclasses.asdict(traj.config),
+        "solver": dataclasses.asdict(traj.config),
         "grid": {
             "dim": g.dim,
             "endpoints": [list(e) for e in g.endpoints],
@@ -72,10 +74,16 @@ def write_trajectory(traj: Trajectory, outdir, config_echo: dict | None = None) 
     }
     if traj.eta_hat_gap_l2 is not None and len(traj.eta_hat_gap_l2):
         manifest["eta_hat_gap_l2_max"] = float(np.max(traj.eta_hat_gap_l2))
-    with open(os.path.join(outdir, MANIFEST_FILE), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(outdir, MANIFEST_FILE), manifest)
     return manifest
+
+
+def write_json(path, doc):
+    """Write doc as key-sorted JSON, indent 2 and a final newline, creating its directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _write_table(path, columns, table: np.ndarray):
@@ -91,16 +99,6 @@ def _read_table(path, columns) -> np.ndarray:
     if tuple(header) != columns:
         raise ValueError(f"{path}: unexpected header {header}")
     return parse_csv_rows(path, body, len(columns))
-
-
-def _config_dict(cfg: SolverConfig) -> dict:
-    return {
-        "scheme": cfg.scheme, "dt": cfg.dt, "t_end": cfg.t_end,
-        "splitting": cfg.splitting, "yosida_lambda": cfg.yosida_lambda,
-        "newton_tol": cfg.newton_tol, "newton_max_iter": cfg.newton_max_iter,
-        "pgs_tol": cfg.pgs_tol, "pgs_max_iter": cfg.pgs_max_iter,
-        "snapshot_stride": cfg.snapshot_stride,
-    }
 
 
 def read_trajectory(outdir) -> Trajectory:
@@ -162,10 +160,7 @@ def write_verification(outdir, reports, manifest_hash: str | None) -> dict:
         "all_passed": all(r.passed for r in reports),
         "manifest_sha256": manifest_hash,
     }
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "verification.json"), "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(outdir, "verification.json"), doc)
     return doc
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -450,6 +451,15 @@ def malformed_header_csv(tmp_path, g):
     return path
 
 
+def perfbench_gates():
+    """The benchmark's gates module, which parses what the sweep commands print."""
+    spec = importlib.util.spec_from_file_location("perfbench_gates",
+                                                  REPO / "perfbench" / "gates.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def yosida_sweep_doc():
     dt = (1.0 / 32.0) ** 2 / 4.0
     return {
@@ -532,6 +542,75 @@ class TestSweepCommand:
         assert main(["sweep", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
         assert "share no snapshot time" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("case", ["increasing_lambdas", "explicit_members",
+                                      "disjoint_times"])
+    def test_yosida_sweep_refusals_exit_2_before_stepping(self, tmp_path, capsys, monkeypatch,
+                                                          case):
+        doc = yosida_sweep_doc()
+        doc["outputs"] = {"directory": str(tmp_path / "sweep")}
+        if case == "increasing_lambdas":
+            doc["lambdas"] = [1e-3, 1e-2]
+        elif case == "explicit_members":
+            doc["base_solver"]["scheme"] = "explicit"
+        else:  # the members snapshot at t = 1/16 only, the reference at 1/32 and 3/64
+            doc["domain"]["n_interior"] = 15
+            doc["base_solver"] = {"dt": 2.0**-10, "t_end": 0.0625, "snapshot_stride": 64}
+            doc["reference_solver"] = {"dt": 2.0**-7, "t_end": 0.046875, "snapshot_stride": 4}
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the sweep stepped before refusing its config")
+
+        monkeypatch.setattr("monoac.diagnostics.run", no_stepping)
+        monkeypatch.setattr("monoac.cli.run", no_stepping)
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
+        assert "config error: sweep:" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_yosida_sweep_equal_errors_exit_4(self, tmp_path, monkeypatch):
+        # equal nonzero errors do not shrink with lambda: the one rule fails them
+        monkeypatch.setattr("monoac.diagnostics.snapshot_error", lambda traj, ref: (0.5, 1))
+        doc = yosida_sweep_doc()
+        doc["outputs"] = {"directory": str(tmp_path / "sweep")}
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--quiet"]) == 4
+        agg = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+        assert agg["errors"] == [0.5, 0.5, 0.5]
+        assert agg["monotone_decreasing"] is False
+
+    def test_yosida_sweep_prints_the_errors_line_the_benchmark_parses(self, tmp_path, capsys):
+        doc = yosida_sweep_doc()
+        doc["outputs"] = {"directory": str(tmp_path / "sweep")}
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+        out = capsys.readouterr().out
+        errors = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["errors"]
+        assert f"errors by lambda: {{0.1: {errors[0]!r}, 0.01: {errors[1]!r}, " \
+               f"0.001: {errors[2]!r}}}\n" in out
+        ok, detail = perfbench_gates()._yosida_errors(
+            {"commands": [{"name": "sweep", "stdout": out}]}, None)
+        assert ok, detail
+        assert detail == f"errors {errors}"
+
+    def test_family_sweep_prints_the_entry_times_line_the_benchmark_parses(self, tmp_path,
+                                                                           capsys):
+        doc = {
+            "kind": "preset_family",
+            "domain": {"dim": 1, "endpoints": [-1, 1], "n_interior": 31},
+            "model": {"kappa": 1.0},
+            "presets": [{"preset": "abs_edge"}, {"preset": "zero"}],
+            "solver": {"scheme": "implicit_obstacle", "dt": 0.05, "t_end": 5.0,
+                       "snapshot_stride": 50},
+            "outputs": {"directory": str(tmp_path / "family")},
+        }
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+        out = capsys.readouterr().out
+        agg = json.loads((tmp_path / "family" / "sweep.json").read_text())
+        times = agg["absorbing"]["details"]["entry_times"]
+        assert len(times) == 2
+        assert f"absorbing entry times: [{times[0]!r}, {times[1]!r}]\n" in out
+        ok, detail = perfbench_gates()._absorbing(
+            {"commands": [{"name": "sweep", "stdout": out}]}, None)
+        assert ok, detail
+        assert detail == f"entry times {times}"
 
     @pytest.mark.parametrize("section,key,value", [
         ("base_solver", "snapshot_stride", "x"),

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from monoac.diagnostics import (
     run_checks,
     settling_time,
     snapshot_error,
+    yosida_sweep,
 )
 from monoac.presets import make_initial
+from monoac.steppers import SolverError
 
 P1 = ModelParams(kappa=1.0)
 
@@ -337,6 +340,50 @@ class TestYosidaConvergence:
         base = SolverConfig(scheme="yosida", dt=1e-4, t_end=1e-2)
         with pytest.raises(ValueError, match="decreasing"):
             check_yosida_convergence(g, u0, P1, base, [1e-3, 1e-2])
+
+
+    @staticmethod
+    def bump_sweep_setup(n_steps):
+        g = make_grid(1, (0, 1), 31)
+        u0 = make_initial("bump", g, P1, center=0.5, width=0.3, height=0.4)
+        dt = (1.0 / 32.0) ** 2 / 4.0
+        base = SolverConfig(scheme="yosida", dt=dt, t_end=n_steps * dt, snapshot_stride=64)
+        ref = SolverConfig(scheme="implicit_obstacle", dt=64 * dt, t_end=n_steps * dt)
+        return g, u0, base, ref
+
+    def test_members_keep_the_base_budgets(self):
+        g, u0, base, ref = self.bump_sweep_setup(256)
+        with pytest.raises(SolverError):
+            check_yosida_convergence(g, u0, P1, replace(base, newton_max_iter=1),
+                                     [1e-1, 1e-2], reference_cfg=ref)
+
+    def test_one_lambda_passes(self):
+        g, u0, base, ref = self.bump_sweep_setup(64)
+        rep = check_yosida_convergence(g, u0, P1, base, [1e-1], reference_cfg=ref)
+        assert rep.passed
+        assert rep.details["lambdas"] == [0.1]
+        assert rep.details["errors"][0] > 0.0
+
+    def test_equal_errors_fail(self, monkeypatch):
+        monkeypatch.setattr("monoac.diagnostics.snapshot_error", lambda traj, ref: (0.5, 1))
+        g, u0, base, ref = self.bump_sweep_setup(64)
+        rep = check_yosida_convergence(g, u0, P1, base, [1e-1, 1e-2], reference_cfg=ref)
+        assert rep.details["errors"] == [0.5, 0.5]
+        assert not rep.passed
+        assert rep.worst_violation > rep.tolerance
+
+    def test_sweep_refuses_non_yosida_members_before_stepping(self, monkeypatch):
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the sweep stepped before refusing its members")
+
+        monkeypatch.setattr("monoac.diagnostics.run", no_stepping)
+        g, u0, base, ref = self.bump_sweep_setup(64)
+        cfgs = [replace(base, scheme="explicit", yosida_lambda=lam) for lam in (1e-1, 1e-2)]
+        with pytest.raises(ValueError, match="yosida scheme"):
+            yosida_sweep(g, u0, P1, cfgs, ref)
+        with pytest.raises(ValueError, match="share no snapshot time"):
+            # the member snapshots at 64 dt only, the reference at 16 dt and 32 dt
+            yosida_sweep(g, u0, P1, [base], replace(ref, dt=16 * base.dt, t_end=32 * base.dt))
 
 
 class TestIntegralBudgets:
