@@ -19,21 +19,16 @@ import sys
 
 import numpy as np
 
-from . import diagnostics, runio
+from . import config, diagnostics, runio
 from .config import (
-    ConfigError,
-    _parse_checks,
-    _require_keys,
-    default_stride,
     load_json,
-    number,
     parse_domain,
     parse_initial,
     parse_model,
     parse_run_config,
     parse_solver,
 )
-from .grid import Field, read_field_csv, write_field_csv
+from .grid import read_field_csv, write_field_csv
 from .model import ModelParams, energy_floor
 from .obstacle import KernelError, solve_equilibrium
 from .spectral import EigenError, min_eig
@@ -75,8 +70,8 @@ def main(argv=None) -> int:
         print("error: --config is required", file=sys.stderr)
         return 2
     try:
-        return args.handler(args)
-    except ConfigError as exc:
+        return args.handler(args, load_json(args.config))
+    except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -95,31 +90,31 @@ def _solver_failure(exc: SolverError, outdir, config_echo) -> int:
     return 3
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, doc) -> int:
     """Integrate one configuration and write its trajectory artifacts."""
-    setup = parse_run_config(load_json(args.config))
+    setup = parse_run_config(doc)
     outdir = args.out or setup.out_dir
     try:
         traj = run(setup.grid, setup.u0, setup.params, setup.solver)
     except SolverError as exc:
-        return _solver_failure(exc, outdir, setup.echo)
-    runio.write_trajectory(traj, outdir, config_echo=setup.echo)
+        return _solver_failure(exc, outdir, doc)
+    runio.write_trajectory(traj, outdir, config_echo=doc)
     _say(args, f"run finished: {traj.n_steps()} steps to t={traj.times[-1]:g}, "
                f"outputs in {outdir}")
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, doc) -> int:
     """Run the configured checks over a fresh or existing trajectory."""
-    doc = load_json(args.config)
     if "trajectory" in doc:
-        _require_keys(doc, "config", ("trajectory",), ("checks", "outputs"))
-        outdir = args.out or (doc.get("outputs") or {}).get("directory") or doc["trajectory"]
-        checks = _parse_checks(doc.get("checks"))
+        config.require_keys(doc, "config", ("trajectory",), ("checks", "outputs"))
+        trajectory = config.path_string(doc["trajectory"], "trajectory")
+        outdir = config.output_dir(doc, args.out) or trajectory
+        checks = config.parse_checks(doc.get("checks"))
         try:
-            traj = runio.read_trajectory(doc["trajectory"])
-            manifest_hash = runio.manifest_sha256(doc["trajectory"])
-        except (OSError, ValueError, KeyError) as exc:
+            traj = runio.read_trajectory(trajectory)
+            manifest_hash = runio.manifest_sha256(trajectory)
+        except (OSError, ValueError) as exc:
             report = diagnostics.CheckReport(
                 name="load_trajectory", passed=False, worst_violation=float("inf"),
                 tolerance=0.0, location=None, details={"error": str(exc)})
@@ -144,22 +139,21 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 4
 
 
-def cmd_eigen(args) -> int:
+def cmd_eigen(args, doc) -> int:
     """Smallest eigenvalue of -lap + V on the configured domain."""
-    doc = load_json(args.config)
-    _require_keys(doc, "config", ("domain", "potential"),
-                  ("model", "tol", "max_iter", "outputs"))
+    config.require_keys(doc, "config", ("domain", "potential"),
+                        ("model", "tol", "max_iter", "outputs"))
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"]) if "model" in doc else ModelParams(kappa=1.0)
-    V = _parse_potential(doc["potential"], g, p)
-    tol = number(doc.get("tol", 1e-9), "tol")
-    max_iter = number(doc.get("max_iter", 500), "max_iter", int)
+    V = config.parse_potential(doc["potential"], g, p)
+    tol = config.number(doc.get("tol", 1e-9), "tol")
+    max_iter = config.number(doc.get("max_iter", 500), "max_iter", int)
+    outdir = config.output_dir(doc, args.out)
     try:
         result = min_eig(g, V, tol=tol, max_iter=max_iter)
     except EigenError as exc:
         print(f"eigensolver failure: {exc}", file=sys.stderr)
         return 5
-    outdir = args.out or (doc.get("outputs") or {}).get("directory")
     if outdir:
         runio.write_json(os.path.join(outdir, "eigen.json"), {**result.to_dict(), "config": doc})
         write_field_csv(os.path.join(outdir, "eigenfield.csv"), result.eigenfield)
@@ -170,60 +164,26 @@ def cmd_eigen(args) -> int:
     return 0
 
 
-def _parse_potential(section, g, p) -> Field:
-    _require_keys(section, "potential", ("type",),
-                  ("value", "path", "initial", "scale"))
-    kind = section["type"]
-    if kind == "zero":
-        return Field(g, np.zeros(g.n_nodes))
-    if kind == "constant":
-        if "value" not in section:
-            raise ConfigError("potential: constant type needs 'value'")
-        return Field(g, float(section["value"]) * np.ones(g.n_nodes))
-    if kind == "csv":
-        if "path" not in section:
-            raise ConfigError("potential: csv type needs 'path'")
-        try:
-            return read_field_csv(section["path"], grid=g)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"potential: {exc}") from None
-    if kind == "scaled_square":
-        if "initial" not in section:
-            raise ConfigError("potential: scaled_square type needs 'initial'")
-        u0 = parse_initial(section["initial"], g, p)
-        scale = float(section.get("scale", 3.0))
-        return Field(g, scale * u0.values**2)
-    raise ConfigError(f"potential: unknown type {kind!r}")
-
-
-def cmd_equilibrium(args) -> int:
+def cmd_equilibrium(args, doc) -> int:
     """Polish a warm start into a stationary-problem solution and certify it."""
-    doc = load_json(args.config)
-    _require_keys(doc, "config", ("domain", "model", "obstacle", "warm_start"),
-                  ("tol", "outputs"))
+    config.require_keys(doc, "config", ("domain", "model", "obstacle", "warm_start"),
+                        ("tol", "outputs"))
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"])
     u0 = parse_initial(doc["obstacle"], g, p)
-    tol = number(doc.get("tol", 1e-6), "tol")
-    warm_section = doc["warm_start"]
-    _require_keys(warm_section, "warm_start", (), ("trajectory", "csv", "run"))
+    tol = config.number(doc.get("tol", 1e-6), "tol")
+    kind, source = config.warm_start_source(doc["warm_start"])
+    if kind == "run":
+        source = parse_solver(source, g, p, config.default_stride(source, 10), "warm_start: run")
+    outdir = config.output_dir(doc, args.out)
     try:
-        if "trajectory" in warm_section:
-            warm = runio.load_state_field(warm_section["trajectory"])
-        elif "csv" in warm_section:
-            warm = read_field_csv(warm_section["csv"], grid=g)
-        elif "run" in warm_section:
-            section = dict(warm_section["run"])
-            stride = (number(section.pop("snapshot_stride", 0), "warm_start: run: snapshot_stride",
-                             int) or default_stride(section, 10))
-            cfg = parse_solver(section, g, p, stride)
-            traj = run(g, u0, p, cfg)
-            warm = traj.final_state()
+        if kind == "trajectory":
+            warm = runio.load_state_field(source)
+        elif kind == "csv":
+            warm = read_field_csv(source, grid=g)
         else:
-            raise ConfigError("warm_start: needs 'trajectory', 'csv' or 'run'")
+            warm = run(g, u0, p, source).final_state()
     except (SolverError, OSError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         print(f"equilibrium failure while preparing the warm start: {exc}", file=sys.stderr)
         return 6
     try:
@@ -231,7 +191,6 @@ def cmd_equilibrium(args) -> int:
     except KernelError as exc:
         print(f"equilibrium failure: {exc}", file=sys.stderr)
         return 6
-    outdir = args.out or (doc.get("outputs") or {}).get("directory")
     doc_out = {"complementarity": report.to_dict(), "tol": tol,
                "distance_from_warm_start_inf": float(np.max(np.abs(eq.values - warm.values))),
                "config": doc}
@@ -243,15 +202,14 @@ def cmd_equilibrium(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, doc) -> int:
     """Fan out independent runs and aggregate a multi-run verdict."""
-    doc = load_json(args.config)
     kind = doc.get("kind")
     if kind == "yosida_lambda":
         return _sweep_yosida(args, doc)
     if kind == "preset_family":
         return _sweep_family(args, doc)
-    raise ConfigError(f"sweep: unknown kind {doc.get('kind')!r}")
+    raise config.ConfigError(f"sweep: unknown kind {kind!r}")
 
 
 def _write_sweep_outputs(outdir, doc, aggregate):
@@ -261,33 +219,24 @@ def _write_sweep_outputs(outdir, doc, aggregate):
 
 
 def _sweep_yosida(args, doc) -> int:
-    _require_keys(doc, "config", ("kind", "domain", "model", "initial",
-                                  "base_solver", "lambdas", "reference_solver"),
-                  ("outputs",))
+    config.require_keys(doc, "config", ("kind", "domain", "model", "initial", "base_solver",
+                                        "lambdas", "reference_solver"), ("outputs",))
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"])
     u0 = parse_initial(doc["initial"], g, p)
-    if not isinstance(doc["lambdas"], list) or not doc["lambdas"]:
-        raise ConfigError("lambdas: expected a non-empty list")
-    lambdas = [number(x, "lambdas") for x in doc["lambdas"]]
-    base = dict(doc["base_solver"])
-    base.setdefault("scheme", "yosida")
-    stride = number(base.pop("snapshot_stride", 1), "base_solver: snapshot_stride", int)
-    ref_section = dict(doc["reference_solver"])
-    ref_section.setdefault("scheme", "implicit_obstacle")
-    ref_stride = number(ref_section.pop("snapshot_stride", 1),
-                        "reference_solver: snapshot_stride", int)
-    ref_cfg = parse_solver(ref_section, g, p, ref_stride)
-    outdir = args.out or (doc.get("outputs") or {}).get("directory")
+    lambdas, base, ref_section = config.yosida_sections(doc)
+    ref_cfg = parse_solver(ref_section, g, p, 1, "reference_solver")
+    outdir = config.output_dir(doc, args.out)
 
-    cfgs = [parse_solver({**base, "yosida_lambda": lam}, g, p, stride) for lam in lambdas]
+    cfgs = [parse_solver({**base, "yosida_lambda": lam}, g, p, 1, "base_solver")
+            for lam in lambdas]
     try:
         trajs, ref, report = diagnostics.yosida_sweep(g, u0, p, cfgs, ref_cfg)
     except SolverError as exc:
         print(f"sweep member failure: {exc}", file=sys.stderr)
         return 7
     except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from None
+        raise config.ConfigError(f"sweep: {exc}") from None
     if outdir:
         for lam, traj in zip(lambdas, trajs):
             runio.write_trajectory(traj, os.path.join(outdir, f"lambda_{lam!r}"),
@@ -302,16 +251,14 @@ def _sweep_yosida(args, doc) -> int:
 
 
 def _sweep_family(args, doc) -> int:
-    _require_keys(doc, "config", ("kind", "domain", "model", "presets", "solver"),
-                  ("outputs", "margin"))
+    config.require_keys(doc, "config", ("kind", "domain", "model", "presets", "solver"),
+                        ("outputs", "margin"))
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"])
     initials = [parse_initial(section, g, p) for section in doc["presets"]]
-    stride = number(doc["solver"].get("snapshot_stride", 0), "solver: snapshot_stride", int) or 1
-    solver_section = {k: v for k, v in doc["solver"].items() if k != "snapshot_stride"}
-    cfg = parse_solver(solver_section, g, p, stride)
-    margin = number(doc.get("margin", 1.0), "margin")
-    outdir = args.out or (doc.get("outputs") or {}).get("directory")
+    cfg = parse_solver(doc["solver"], g, p, 1)
+    margin = config.number(doc.get("margin", 1.0), "margin")
+    outdir = config.output_dir(doc, args.out)
 
     try:
         trajs = run(g, initials, p, cfg)

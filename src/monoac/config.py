@@ -9,13 +9,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .grid import Field, Grid, make_grid
+import numpy as np
+
+from .grid import Field, Grid, make_grid, read_field_csv
 from .model import ModelParams
-from .presets import PRESET_NAMES, make_initial
+from .presets import make_initial
 from .steppers import SolverConfig
 
-__all__ = ["ConfigError", "RunSetup", "load_json", "parse_run_config",
-           "parse_domain", "parse_model", "parse_initial", "parse_solver",
+__all__ = ["ConfigError", "RunSetup", "load_json", "parse_run_config", "parse_domain",
+           "parse_model", "parse_initial", "parse_potential", "parse_solver", "parse_checks",
+           "yosida_sections", "warm_start_source", "output_dir", "require_keys",
            "default_stride", "number"]
 
 
@@ -49,7 +52,21 @@ def number(value, where: str, kind=float):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
 
 
-def _require_keys(section: dict, where: str, required, optional=()):
+def _numbers(value, where: str, kind=float):
+    """number() of a scalar entry, or of each item of a list entry."""
+    if isinstance(value, list):
+        return [number(x, where, kind) for x in value]
+    return number(value, where, kind)
+
+
+def path_string(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where}: expected a non-empty path string, got {value!r}")
+    return value
+
+
+def require_keys(section: dict, where: str, required, optional=()) -> dict:
+    """section, after checking that it is an object with all required keys and no others."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected an object")
     unknown = set(section) - set(required) - set(optional)
@@ -58,74 +75,119 @@ def _require_keys(section: dict, where: str, required, optional=()):
     missing = [k for k in required if k not in section]
     if missing:
         raise ConfigError(f"{where}: missing keys {missing}")
+    return section
 
 
 def parse_domain(section) -> Grid:
-    _require_keys(section, "domain", ("dim", "endpoints", "n_interior"))
+    require_keys(section, "domain", ("dim", "endpoints", "n_interior"))
+    n_interior = _numbers(section["n_interior"], "domain: n_interior", int)
     try:
-        return make_grid(section["dim"], section["endpoints"], section["n_interior"])
+        return make_grid(section["dim"], section["endpoints"], n_interior)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"domain: {exc}") from None
 
 
 def parse_model(section) -> ModelParams:
-    _require_keys(section, "model", ("kappa",))
+    require_keys(section, "model", ("kappa",))
+    kappa = number(section["kappa"], "model: kappa")
     try:
-        return ModelParams(kappa=float(section["kappa"]))
-    except (TypeError, ValueError) as exc:
+        return ModelParams(kappa=kappa)
+    except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
 
 
 def parse_initial(section, g: Grid, p: ModelParams) -> Field:
+    """A preset (its parameters numbers or lists of numbers) or a field CSV ("csv")."""
     if not isinstance(section, dict):
         raise ConfigError("initial: expected an object")
     if "csv" in section:
-        _require_keys(section, "initial", ("csv",))
-        try:
-            return make_initial("custom", g, p, path=section["csv"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"initial: {exc}") from None
-    if "preset" not in section:
+        require_keys(section, "initial", ("csv",))
+        name, kwargs = "custom", {"path": path_string(section["csv"], "initial: csv")}
+    elif "preset" not in section:
         raise ConfigError("initial: needs either a 'preset' name or a 'csv' path")
-    name = section["preset"]
-    if name not in PRESET_NAMES:
-        raise ConfigError(f"initial: unknown preset {name!r}")
-    kwargs = {k: v for k, v in section.items() if k != "preset"}
-    allowed = {
-        "zero": (), "abs_edge": (), "neg_const": (),
-        "eigenfunction": ("c",), "supersolution": ("c",),
-        "bump": ("center", "width", "height"), "custom": ("path",),
-    }[name]
-    unknown = set(kwargs) - set(allowed)
-    if unknown:
-        raise ConfigError(f"initial: preset {name!r} does not take {sorted(unknown)}")
+    else:
+        name = section["preset"]
+        kwargs = {k: path_string(v, "initial: path") if k == "path" else
+                  _numbers(v, f"initial: {k}") for k, v in section.items() if k != "preset"}
     try:
         return make_initial(name, g, p, **kwargs)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"initial: {exc}") from None
 
 
+# each type's required and optional keys besides "type"
+_POTENTIAL_KEYS = {"zero": ((), ()), "constant": (("value",), ()), "csv": (("path",), ()),
+                   "scaled_square": (("initial",), ("scale",))}
+
+
+def parse_potential(section, g: Grid, p: ModelParams) -> Field:
+    kind = section.get("type") if isinstance(section, dict) else None
+    if kind not in _POTENTIAL_KEYS:
+        raise ConfigError(f"potential: unknown type {kind!r}")
+    require_keys(section, "potential", ("type",) + _POTENTIAL_KEYS[kind][0],
+                 _POTENTIAL_KEYS[kind][1])
+    if kind == "csv":
+        try:
+            return read_field_csv(path_string(section["path"], "potential: path"), grid=g)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"potential: {exc}") from None
+    if kind == "scaled_square":
+        scale = number(section.get("scale", 3.0), "potential: scale")
+        return Field(g, scale * parse_initial(section["initial"], g, p).values**2)
+    value = number(section["value"], "potential: value") if kind == "constant" else 0.0
+    return Field(g, value * np.ones(g.n_nodes))
+
+
 _SOLVER_KEYS = ("scheme", "dt", "t_end", "splitting", "yosida_lambda",
-                "newton_tol", "newton_max_iter", "pgs_tol", "pgs_max_iter")
+                "newton_tol", "newton_max_iter", "pgs_tol", "pgs_max_iter", "snapshot_stride")
 
 
-def parse_solver(section, g: Grid, p: ModelParams, snapshot_stride: int) -> SolverConfig:
-    _require_keys(section, "solver", ("scheme", "dt", "t_end"), _SOLVER_KEYS[3:])
-    kwargs = {k: section[k] for k in _SOLVER_KEYS if k in section}
+def parse_solver(section, g: Grid, p: ModelParams, stride: int,
+                 where: str = "solver") -> SolverConfig:
+    """The validated SolverConfig of a solver section; stride is the default for
+    its optional "snapshot_stride", an integer >= 1."""
+    require_keys(section, where, _SOLVER_KEYS[:3], _SOLVER_KEYS[3:])
+    kwargs = {k: section[k] for k in _SOLVER_KEYS[:-1] if k in section}
+    stride = number(section.get("snapshot_stride", stride), f"{where}: snapshot_stride", int)
     try:
-        cfg = SolverConfig(snapshot_stride=snapshot_stride, **kwargs)
+        cfg = SolverConfig(snapshot_stride=stride, **kwargs)
         cfg.validate(g, p)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
     return cfg
 
 
-def default_stride(solver_section, records: int) -> int:
-    """Snapshot stride giving about `records` snapshots over a solver section's run.
+def yosida_sections(doc) -> tuple[list, dict, dict]:
+    """A yosida_lambda sweep's lambdas and base and reference solver sections, schemes defaulted."""
+    if not isinstance(doc["lambdas"], list) or not doc["lambdas"]:
+        raise ConfigError("lambdas: expected a non-empty list")
+    base, ref = (require_keys(doc[k], k, (), _SOLVER_KEYS)
+                 for k in ("base_solver", "reference_solver"))
+    return ([number(x, "lambdas") for x in doc["lambdas"]], {"scheme": "yosida", **base},
+            {"scheme": "implicit_obstacle", **ref})
 
-    max(1, round(t_end/dt) // records); ConfigError if dt or t_end is missing
-    or not a number.
-    """
+
+def warm_start_source(section) -> tuple[str, object]:
+    """The one warm start: ("trajectory" or "csv", a path) or ("run", a solver section)."""
+    require_keys(section, "warm_start", (), ("trajectory", "csv", "run"))
+    if len(section) != 1:
+        raise ConfigError("warm_start: needs one of 'trajectory', 'csv' or 'run'")
+    ((kind, value),) = section.items()
+    if kind == "run":
+        return kind, require_keys(value, "warm_start: run", (), _SOLVER_KEYS)
+    return kind, path_string(value, f"warm_start: {kind}")
+
+
+def output_dir(doc, override) -> str | None:
+    """override (the --out flag) if set, else outputs.directory, else None."""
+    section = require_keys(doc.get("outputs", {}), "outputs", (), ("directory",))
+    directory = path_string(section["directory"], "outputs: directory") if section else None
+    return override or directory
+
+
+def default_stride(solver_section, records: int) -> int:
+    """max(1, round(t_end/dt) // records): about `records` snapshots over a solver
+    section's run; ConfigError if dt or t_end is missing or not a number."""
     try:
         n_steps = round(float(solver_section["t_end"]) / float(solver_section["dt"]))
     except KeyError as exc:
@@ -135,29 +197,20 @@ def default_stride(solver_section, records: int) -> int:
     return max(1, n_steps // records)
 
 
-def _parse_outputs(section, solver_section):
-    _require_keys(section, "outputs", ("directory",), ("stride",))
-    stride = section.get("stride")
-    if stride is None:
-        stride = default_stride(solver_section, 100)
-    stride = number(stride, "outputs: stride", int)
-    if stride < 1:
-        raise ConfigError("outputs: stride must be >= 1")
-    return section["directory"], stride
-
-
-def _parse_checks(section):
+def parse_checks(section):
+    """None, or the checks as {"name": str, optional "tolerance": float} entries."""
     if section is None:
         return None
     if not isinstance(section, list):
         raise ConfigError("checks: expected a list")
     parsed = []
     for item in section:
-        if isinstance(item, str):
-            parsed.append({"name": item})
-            continue
-        _require_keys(item, "checks entry", ("name",), ("tolerance",))
-        parsed.append(item)
+        item = require_keys({"name": item} if isinstance(item, str) else item, "checks entry",
+                            ("name",), ("tolerance",))
+        if not isinstance(item["name"], str):
+            raise ConfigError(f"checks entry: name: expected a string, got {item['name']!r}")
+        parsed.append({k: number(v, "checks entry: tolerance") if k == "tolerance" else v
+                       for k, v in item.items()})
     return parsed
 
 
@@ -169,17 +222,22 @@ class RunSetup:
     solver: SolverConfig
     out_dir: str
     checks: list | None
-    echo: dict
 
 
 def parse_run_config(doc: dict) -> RunSetup:
-    _require_keys(doc, "config", ("domain", "model", "initial", "solver", "outputs"),
-                  ("checks",))
+    require_keys(doc, "config", ("domain", "model", "initial", "solver", "outputs"),
+                 ("checks",))
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"])
     u0 = parse_initial(doc["initial"], g, p)
-    out_dir, stride = _parse_outputs(doc["outputs"], doc["solver"])
-    cfg = parse_solver(doc["solver"], g, p, stride)
-    checks = _parse_checks(doc.get("checks"))
-    return RunSetup(grid=g, params=p, u0=u0, solver=cfg, out_dir=out_dir,
-                    checks=checks, echo=doc)
+    outputs = require_keys(doc["outputs"], "outputs", ("directory",), ("stride",))
+    require_keys(doc["solver"], "solver", (), _SOLVER_KEYS[:-1])  # a run's stride: outputs.stride
+    stride = outputs.get("stride")
+    if stride is None:
+        stride = default_stride(doc["solver"], 100)
+    stride = number(stride, "outputs: stride", int)
+    if stride < 1:
+        raise ConfigError("outputs: stride must be >= 1")
+    return RunSetup(grid=g, params=p, u0=u0, solver=parse_solver(doc["solver"], g, p, stride),
+                    out_dir=path_string(outputs["directory"], "outputs: directory"),
+                    checks=parse_checks(doc.get("checks")))

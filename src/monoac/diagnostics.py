@@ -8,7 +8,7 @@ violation as a ratio against its own clause tolerance (tolerance 1.0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -49,14 +49,7 @@ class CheckReport:
     details: dict
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst_violation": self.worst_violation,
-            "tolerance": self.tolerance,
-            "location": self.location,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _report(name, worst, tol, location=None, **details) -> CheckReport:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -95,12 +95,7 @@ class ComplementarityReport:
                    self.stationarity_residual)
 
     def to_dict(self) -> dict:
-        return {
-            "primal_violation": self.primal_violation,
-            "dual_violation": self.dual_violation,
-            "gap": self.gap,
-            "stationarity_residual": self.stationarity_residual,
-        }
+        return asdict(self)
 
 
 def _cubic_root(c: float, q: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ enforced at build time instead of trusted from data files.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .grid import Field, Grid, first_mode, read_field_csv
@@ -14,11 +16,8 @@ from .model import ModelParams, residual
 
 __all__ = ["PRESET_NAMES", "make_initial"]
 
-PRESET_NAMES = ("zero", "abs_edge", "neg_const", "eigenfunction", "bump",
-                "supersolution", "custom")
 
-
-def make_initial(name: str, g: Grid, p: ModelParams, **kwargs) -> Field:
+def make_initial(name: str, g: Grid, p: ModelParams, /, **kwargs) -> Field:
     """Build a preset initial field on the grid.
 
     zero                    constant 0
@@ -28,12 +27,15 @@ def make_initial(name: str, g: Grid, p: ModelParams, **kwargs) -> Field:
     supersolution(c)        same shape, but verified to have residual <= 0
     bump(center,width,height) smooth compactly supported bump, peak value height
     custom(path)            field read back from CSV
+
+    A parameter the preset does not take raises ValueError.
     """
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}") from None
-    return builder(g, p, **kwargs)
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    unknown = set(kwargs) - set(list(inspect.signature(_BUILDERS[name]).parameters)[2:])
+    if unknown:
+        raise ValueError(f"preset {name!r} does not take {sorted(unknown)}")
+    return _BUILDERS[name](g, p, **kwargs)
 
 
 def _zero(g, p):
@@ -106,7 +108,8 @@ _BUILDERS = {
     "abs_edge": _abs_edge,
     "neg_const": _neg_const,
     "eigenfunction": _eigenfunction,
-    "supersolution": _supersolution,
     "bump": _bump,
+    "supersolution": _supersolution,
     "custom": _custom,
 }
+PRESET_NAMES = tuple(_BUILDERS)

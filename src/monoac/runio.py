@@ -109,44 +109,50 @@ def read_trajectory(outdir) -> Trajectory:
     The step multipliers are not stored.  A missing or malformed file raises
     OSError or ValueError.
     """
-    manifest, grid = _read_manifest(outdir)
-    params = ModelParams(kappa=manifest["model"]["kappa"])
-    cfg = SolverConfig(**manifest["solver"])
-
+    manifest = _read_manifest(outdir)
+    grid = manifest["grid"]
     diag = _read_table(os.path.join(outdir, DIAGNOSTICS_FILE), SNAPSHOT_COLUMNS)
     steps_path = os.path.join(outdir, STEPS_FILE)
     steps = _read_table(steps_path, STEPS_COLUMNS)
     if not np.array_equal(steps[:, 0], diag[:, 0]):
         raise ValueError(f"{steps_path}: times differ from {DIAGNOSTICS_FILE}")
 
-    snapshots, snap_times = [], []
-    for entry in manifest["snapshots"]:
-        snapshots.append(read_field_csv(os.path.join(outdir, entry["file"]), grid=grid))
-        snap_times.append(entry["t"])
-    if not snapshots:
-        raise ValueError(f"{outdir}: no snapshots on disk")
+    snapshots = [read_field_csv(path, grid=grid) for path, _ in manifest["snapshots"]]
 
     return Trajectory(
-        grid=grid, params=params, config=cfg, u0=snapshots[0],
+        grid=grid, params=manifest["model"], config=manifest["solver"], u0=snapshots[0],
         times=diag[:, 0], diag=diag,
         res_l2sq=steps[:, 1], obstacle_gap_min=steps[:, 2], du_dt_l2=steps[1:, 3],
         step_min_increment=steps[1:, 4],
-        inner_iterations=np.array(manifest.get("inner_iterations", []), dtype=int),
-        snapshot_times=np.array(snap_times), snapshots=snapshots,
+        inner_iterations=manifest["inner_iterations"],
+        snapshot_times=np.array([t for _, t in manifest["snapshots"]]), snapshots=snapshots,
         failure=manifest.get("failure"),
     )
 
 
-def _read_manifest(outdir) -> tuple[dict, Grid]:
-    """The manifest of a written run and the grid it records."""
+def _read_manifest(outdir) -> dict:
+    """The manifest of a written run, its records parsed: "grid", "model" and "solver" as
+    Grid, ModelParams and SolverConfig, "snapshots" as (path, t) pairs and
+    "inner_iterations" as an int array.  ValueError if it is malformed or lists no snapshot."""
     with open(os.path.join(outdir, MANIFEST_FILE)) as f:
         manifest = json.load(f)
-    gsec = manifest["grid"]
-    grid = Grid(dim=gsec["dim"],
-                endpoints=tuple(tuple(e) for e in gsec["endpoints"]),
-                n_interior=tuple(gsec["n_interior"]),
-                h=tuple(gsec["h"]))
-    return manifest, grid
+    try:
+        gsec = manifest["grid"]
+        manifest = {
+            **manifest,
+            "grid": Grid(dim=gsec["dim"], endpoints=tuple(tuple(e) for e in gsec["endpoints"]),
+                         n_interior=tuple(gsec["n_interior"]), h=tuple(gsec["h"])),
+            "model": ModelParams(kappa=manifest["model"]["kappa"]),
+            "solver": SolverConfig(**manifest["solver"]),
+            "snapshots": [(os.path.join(outdir, e["file"]), float(e["t"]))
+                          for e in manifest["snapshots"]],
+            "inner_iterations": np.array(manifest.get("inner_iterations", []), dtype=int),
+        }
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{outdir}: malformed {MANIFEST_FILE} ({exc!r})") from None
+    if not manifest["snapshots"]:
+        raise ValueError(f"{outdir}: no snapshots on disk")
+    return manifest
 
 
 def manifest_sha256(outdir) -> str:
@@ -169,9 +175,7 @@ def load_state_field(outdir, t: float | None = None) -> Field:
 
     Reads the manifest and that one snapshot; KeyError if none is stored at t.
     """
-    manifest, grid = _read_manifest(outdir)
+    manifest = _read_manifest(outdir)
     entries = manifest["snapshots"]
-    if not entries:
-        raise ValueError(f"{outdir}: no snapshots on disk")
-    idx = -1 if t is None else snapshot_index([e["t"] for e in entries], t)
-    return read_field_csv(os.path.join(outdir, entries[idx]["file"]), grid=grid)
+    idx = -1 if t is None else snapshot_index([t for _, t in entries], t)
+    return read_field_csv(entries[idx][0], grid=manifest["grid"])

@@ -645,6 +645,153 @@ class TestSweepCommand:
                      write_config(tmp_path, {"kind": "grid_refinement"}), "--quiet"]) == 2
 
 
+D15 = {"dim": 1, "endpoints": [-1, 1], "n_interior": 15}
+SOLVER = {"scheme": "implicit_obstacle", "dt": 0.05, "t_end": 0.5}
+
+
+def refusal_doc(command, tmp_path):
+    """A valid config of each command on a 15-node domain, for one entry to break."""
+    if command == "eigen":
+        return {"domain": dict(D15), "potential": {"type": "zero"}}
+    if command == "verify_trajectory":
+        return {"trajectory": str(tmp_path / "missing")}
+    if command == "family":
+        return {"kind": "preset_family", "domain": dict(D15), "model": {"kappa": 1.0},
+                "presets": [{"preset": "zero"}, {"preset": "abs_edge"}], "solver": dict(SOLVER)}
+    if command == "yosida":
+        doc = yosida_sweep_doc()
+        doc["domain"]["n_interior"] = 15
+        return doc
+    if command == "equilibrium":
+        return {"domain": dict(D15), "model": {"kappa": 1.0}, "obstacle": {"preset": "abs_edge"},
+                "warm_start": {"run": dict(SOLVER)}}
+    doc = run_config(tmp_path, domain=dict(D15))  # "run" and "verify"
+    doc["solver"] = dict(SOLVER)
+    return doc
+
+
+def _set(*path_and_value):
+    """An edit setting doc[path...] = value."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for k in path:
+            doc = doc[k]
+        doc[key] = value
+    return edit
+
+
+# (command, edit, what stderr must name); each entry used to traceback, pass or exit non-2
+REFUSALS = {
+    "constant_value_string": ("eigen", _set("potential", {"type": "constant", "value": "abc"}),
+                              "potential: value"),
+    "constant_value_list": ("eigen", _set("potential", {"type": "constant", "value": [1, 2]}),
+                            "potential: value"),
+    "scaled_square_scale": ("eigen", _set("potential", {"type": "scaled_square", "scale": "abc",
+                                                        "initial": {"preset": "abs_edge"}}),
+                            "potential: scale"),
+    "eigen_outputs_string": ("eigen", _set("outputs", "out"), "outputs"),
+    "verify_outputs_string": ("verify_trajectory", _set("outputs", "out"), "outputs"),
+    "family_solver_list": ("family", _set("solver", [1]), "solver"),
+    "yosida_base_solver_string": ("yosida", _set("base_solver", "abc"), "base_solver"),
+    "bump_height": ("run", _set("initial", {"preset": "bump", "height": "abc"}),
+                    "initial: height"),
+    "eigenfunction_c": ("run", _set("initial", {"preset": "eigenfunction", "c": "abc"}),
+                        "initial: c"),
+    "run_directory_number": ("run", _set("outputs", "directory", 5), "outputs: directory"),
+    "check_tolerance": ("verify", _set("checks", [{"name": "monotone", "tolerance": "abc"}]),
+                        "checks entry: tolerance"),
+    "check_name_number": ("verify", _set("checks", [{"name": 5}]), "checks entry: name"),
+    "outputs_typo": ("eigen", _set("outputs", {"directroy": "eig"}), "directroy"),
+    "family_stride_zero": ("family", _set("solver", "snapshot_stride", 0), "snapshot_stride"),
+    "warm_run_stride_zero": ("equilibrium", _set("warm_start", "run", "snapshot_stride", 0),
+                             "warm_start: run: snapshot_stride"),
+    "n_interior_fraction": ("run", _set("domain", "n_interior", 15.5), "n_interior"),
+    "n_interior_bool": ("run", _set("domain", "n_interior", True), "n_interior"),
+    "kappa_bool": ("run", _set("model", "kappa", True), "kappa"),
+    "zero_potential_value": ("eigen", _set("potential", {"type": "zero", "value": 1.0}),
+                             "value"),
+    "warm_csv_number": ("equilibrium", _set("warm_start", {"csv": 5}), "warm_start: csv"),
+    "warm_run_string": ("equilibrium", _set("warm_start", {"run": "abc"}), "warm_start: run"),
+    "warm_two_sources": ("equilibrium", _set("warm_start", "csv", "warm.csv"), "warm_start"),
+    "trajectory_empty": ("verify_trajectory", _set("trajectory", ""), "trajectory"),
+    "initial_csv_empty": ("run", _set("initial", {"csv": ""}), "initial: csv"),
+    "potential_path_empty": ("eigen", _set("potential", {"type": "csv", "path": ""}),
+                             "potential: path"),
+    "warm_trajectory_empty": ("equilibrium", _set("warm_start", {"trajectory": ""}),
+                              "warm_start: trajectory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_malformed_entry_exits_2_naming_it_before_stepping_or_writing(tmp_path, capsys,
+                                                                      monkeypatch, case):
+    command, edit, named = REFUSALS[case]
+    doc = refusal_doc(command, tmp_path)
+    edit(doc)
+    monkeypatch.chdir(tmp_path)  # a stray relative write would land here
+    path = write_config(tmp_path, doc)
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("stepped before refusing its config")
+
+    monkeypatch.setattr("monoac.cli.run", no_stepping)
+    monkeypatch.setattr("monoac.diagnostics.run", no_stepping)
+    argv = ["sweep" if command in ("family", "yosida") else command.split("_")[0],
+            "--config", path, "--quiet"]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+MANIFEST_DAMAGE = {
+    "solver_extra_key": lambda m: m["solver"].update(extra=1),
+    "grid_list": lambda m: m.update(grid=[1]),
+    "snapshots_string": lambda m: m.update(snapshots="abc"),
+    "kappa_string": lambda m: m["model"].update(kappa="abc"),
+}
+
+
+def damaged_run(tmp_path, case):
+    """A run on disk whose manifest.json is damaged as MANIFEST_DAMAGE[case] says."""
+    doc = run_config(tmp_path, domain=dict(D15))
+    assert main(["run", "--config", write_config(tmp_path, doc, "run.json"), "--quiet"]) == 0
+    manifest_path = tmp_path / "out" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    MANIFEST_DAMAGE[case](manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    return tmp_path / "out"
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_DAMAGE))
+def test_malformed_manifest_reads_raise_value_error(tmp_path, case):
+    out = damaged_run(tmp_path, case)
+    with pytest.raises(ValueError, match="manifest.json"):
+        read_trajectory(out)
+    with pytest.raises(ValueError, match="manifest.json"):
+        load_state_field(out)
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_DAMAGE))
+def test_malformed_manifest_verify_exits_4_with_load_report(tmp_path, case):
+    out = damaged_run(tmp_path, case)
+    doc = {"trajectory": str(out)}
+    assert main(["verify", "--config", write_config(tmp_path, doc, "v.json"),
+                 "--out", str(tmp_path / "vout"), "--quiet"]) == 4
+    report = json.loads((tmp_path / "vout" / "verification.json").read_text())
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [("load_trajectory", False)]
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_DAMAGE))
+def test_malformed_manifest_equilibrium_exits_6(tmp_path, case):
+    out = damaged_run(tmp_path, case)
+    doc = {"domain": dict(D15), "model": {"kappa": 1.0}, "obstacle": {"preset": "abs_edge"},
+           "warm_start": {"trajectory": str(out)}}
+    assert main(["equilibrium", "--config", write_config(tmp_path, doc, "eq.json"),
+                 "--quiet"]) == 6
+
+
 def test_missing_config_flag_is_error():
     assert main(["run"]) == 2
 

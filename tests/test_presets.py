@@ -107,6 +107,14 @@ def test_unknown_name_rejected():
         make_initial("step", g, P1)
 
 
+@pytest.mark.parametrize("name,kwargs", [("bump", {"c": 1.0}), ("abs_edge", {"height": 0.2}),
+                                         ("eigenfunction", {"g": None})])
+def test_parameter_the_preset_does_not_take_rejected(name, kwargs):
+    g = make_grid(1, (-1, 1), 9)
+    with pytest.raises(ValueError, match=f"does not take \\['{next(iter(kwargs))}'\\]"):
+        make_initial(name, g, P1, **kwargs)
+
+
 def test_preset_name_list_is_stable():
     assert set(PRESET_NAMES) == {"zero", "abs_edge", "neg_const", "eigenfunction",
                                  "bump", "supersolution", "custom"}
