@@ -146,11 +146,9 @@ def _solve_cg(g: Grid, d: np.ndarray, rhs: np.ndarray, fixed: np.ndarray | None,
     # per axis-0 mode k, (lambda_k + c) I - lap_1 along axis 1; the blocks are uncoupled
     n0, n1 = g.shape
     s0 = g.sine_basis[0]
-    inv_h2 = 1.0 / (g.h[1] * g.h[1])
-    main = np.repeat(g.axis_eigenvalues[0] + (c + 2.0 * inv_h2), n1)
-    off = np.full(max(n0 * n1 - 1, 1), -inv_h2)  # dpttrf wants one entry at n0 * n1 == 1
-    off[n1 - 1::n1] = 0.0
-    main, off, _ = dpttrf(main, off, overwrite_d=1, overwrite_e=1)
+    main = np.repeat(g.axis_eigenvalues[0] + (c + 2.0 * (1.0 / (g.h[1] * g.h[1]))), n1)
+    # dpttrf copies the cached off-diagonal; it wants one entry at n0 * n1 == 1
+    main, off, _ = dpttrf(main, _off_diagonal(n1, max(n0 * n1, 2), g.h[1]), overwrite_d=1)
 
     def matvec(v):
         # v is a search direction: zero on the fixed nodes, as every z is

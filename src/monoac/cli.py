@@ -42,13 +42,11 @@ def _run_checks_reporting(traj, checks) -> list:
     """Run checks one at a time, turning check errors into failed reports."""
     reports = []
     for item in checks:
-        name = item if isinstance(item, str) else item["name"]
         try:
             reports.extend(diagnostics.run_checks(traj, [item]))
         except ValueError as exc:
-            reports.append(diagnostics.CheckReport(
-                name=name, passed=False, worst_violation=float("inf"),
-                tolerance=0.0, location=None, details={"error": str(exc)}))
+            name = item if isinstance(item, str) else item["name"]
+            reports.append(diagnostics.error_report(name, exc))
     return reports
 
 
@@ -81,24 +79,28 @@ def _say(args, message):
         print(message)
 
 
-def _solver_failure(exc: SolverError, outdir, config_echo) -> int:
-    """Report a failed run, keep its partial trajectory and return exit code 3."""
-    print(f"solver failure: {exc}", file=sys.stderr)
-    if exc.trajectory is not None:
-        runio.write_trajectory(exc.trajectory, outdir, config_echo=config_echo)
-        print(f"partial outputs kept in {outdir}", file=sys.stderr)
-    return 3
+def _run_and_write(setup, outdir, doc):
+    """Run a run configuration and write and return its trajectory; after a solver
+    failure write the partial one and return None (exit code 3)."""
+    try:
+        traj = run(setup.grid, setup.u0, setup.params, setup.solver)
+    except SolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        if exc.trajectory is not None:
+            runio.write_trajectory(exc.trajectory, outdir, config_echo=doc)
+            print(f"partial outputs kept in {outdir}", file=sys.stderr)
+        return None
+    runio.write_trajectory(traj, outdir, config_echo=doc)
+    return traj
 
 
 def cmd_run(args, doc) -> int:
     """Integrate one configuration and write its trajectory artifacts."""
     setup = parse_run_config(doc)
     outdir = args.out or setup.out_dir
-    try:
-        traj = run(setup.grid, setup.u0, setup.params, setup.solver)
-    except SolverError as exc:
-        return _solver_failure(exc, outdir, doc)
-    runio.write_trajectory(traj, outdir, config_echo=doc)
+    traj = _run_and_write(setup, outdir, doc)
+    if traj is None:
+        return 3
     _say(args, f"run finished: {traj.n_steps()} steps to t={traj.times[-1]:g}, "
                f"outputs in {outdir}")
     return 0
@@ -115,27 +117,24 @@ def cmd_verify(args, doc) -> int:
             traj = runio.read_trajectory(trajectory)
             manifest_hash = runio.manifest_sha256(trajectory)
         except (OSError, ValueError) as exc:
-            report = diagnostics.CheckReport(
-                name="load_trajectory", passed=False, worst_violation=float("inf"),
-                tolerance=0.0, location=None, details={"error": str(exc)})
-            runio.write_verification(outdir, [report], None)
+            runio.write_verification(outdir, [diagnostics.error_report("load_trajectory", exc)],
+                                     None)
             print(f"trajectory unusable: {exc}", file=sys.stderr)
             return 4
     else:
         setup = parse_run_config(doc)
         outdir = args.out or setup.out_dir
-        try:
-            traj = run(setup.grid, setup.u0, setup.params, setup.solver)
-        except SolverError as exc:
-            return _solver_failure(exc, outdir, doc)
-        runio.write_trajectory(traj, outdir, config_echo=doc)
+        traj = _run_and_write(setup, outdir, doc)
+        if traj is None:
+            return 3
         manifest_hash = runio.manifest_sha256(outdir)
         checks = setup.checks
     reports = _run_checks_reporting(traj, checks or DEFAULT_CHECK_SUITE)
     runio.write_verification(outdir, reports, manifest_hash)
     for r in reports:
+        at = "" if r.passed or r.location is None else f" at t={r.location:g}"
         _say(args, f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: "
-                   f"violation {r.worst_violation:.3e} vs tol {r.tolerance:.3e}")
+                   f"violation {r.worst_violation:.3e} vs tol {r.tolerance:.3e}{at}")
     return 0 if all(r.passed for r in reports) else 4
 
 
@@ -146,11 +145,11 @@ def cmd_eigen(args, doc) -> int:
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"]) if "model" in doc else ModelParams(kappa=1.0)
     V = config.parse_potential(doc["potential"], g, p)
-    tol = config.number(doc.get("tol", 1e-9), "tol")
-    max_iter = config.number(doc.get("max_iter", 500), "max_iter", int)
+    options = {k: config.number(doc[k], k, kind)
+               for k, kind in (("tol", float), ("max_iter", int)) if k in doc}
     outdir = config.output_dir(doc, args.out)
     try:
-        result = min_eig(g, V, tol=tol, max_iter=max_iter)
+        result = min_eig(g, V, **options)
     except EigenError as exc:
         print(f"eigensolver failure: {exc}", file=sys.stderr)
         return 5
@@ -255,14 +254,15 @@ def _sweep_family(args, doc) -> int:
                         ("outputs", "margin"))
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"])
-    initials = [parse_initial(section, g, p) for section in doc["presets"]]
+    initials = [parse_initial(section, g, p)
+                for section in config.nonempty_list(doc["presets"], "presets")]
     cfg = parse_solver(doc["solver"], g, p, 1)
     margin = config.number(doc.get("margin", 1.0), "margin")
     outdir = config.output_dir(doc, args.out)
 
     try:
         trajs = run(g, initials, p, cfg)
-    except (SolverError, ValueError) as exc:
+    except SolverError as exc:
         print(f"sweep member failure: {exc}", file=sys.stderr)
         return 7
     if outdir:

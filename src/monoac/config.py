@@ -19,7 +19,7 @@ from .steppers import SolverConfig
 __all__ = ["ConfigError", "RunSetup", "load_json", "parse_run_config", "parse_domain",
            "parse_model", "parse_initial", "parse_potential", "parse_solver", "parse_checks",
            "yosida_sections", "warm_start_source", "output_dir", "require_keys",
-           "default_stride", "number"]
+           "default_stride", "number", "nonempty_list"]
 
 
 class ConfigError(ValueError):
@@ -59,6 +59,17 @@ def _numbers(value, where: str, kind=float):
     return number(value, where, kind)
 
 
+def _real(value, where: str):
+    """number() of an entry the manifest echoes: an integer stays an integer."""
+    return number(value, where, int if type(value) is int else float)
+
+
+def nonempty_list(value, where: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where}: expected a non-empty list")
+    return value
+
+
 def path_string(value, where: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{where}: expected a non-empty path string, got {value!r}")
@@ -80,9 +91,14 @@ def require_keys(section: dict, where: str, required, optional=()) -> dict:
 
 def parse_domain(section) -> Grid:
     require_keys(section, "domain", ("dim", "endpoints", "n_interior"))
+    dim = number(section["dim"], "domain: dim", int)
+    endpoints = section["endpoints"]
+    if isinstance(endpoints, list):  # [lo, hi] in 1D, one such pair per axis in 2D
+        endpoints = [[_real(x, "domain: endpoints") for x in e] if isinstance(e, list)
+                     else _real(e, "domain: endpoints") for e in endpoints]
     n_interior = _numbers(section["n_interior"], "domain: n_interior", int)
     try:
-        return make_grid(section["dim"], section["endpoints"], n_interior)
+        return make_grid(dim, endpoints, n_interior)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"domain: {exc}") from None
 
@@ -140,6 +156,7 @@ def parse_potential(section, g: Grid, p: ModelParams) -> Field:
 
 _SOLVER_KEYS = ("scheme", "dt", "t_end", "splitting", "yosida_lambda",
                 "newton_tol", "newton_max_iter", "pgs_tol", "pgs_max_iter", "snapshot_stride")
+_SOLVER_REALS = ("dt", "t_end", "yosida_lambda", "newton_tol", "pgs_tol")
 
 
 def parse_solver(section, g: Grid, p: ModelParams, stride: int,
@@ -147,7 +164,8 @@ def parse_solver(section, g: Grid, p: ModelParams, stride: int,
     """The validated SolverConfig of a solver section; stride is the default for
     its optional "snapshot_stride", an integer >= 1."""
     require_keys(section, where, _SOLVER_KEYS[:3], _SOLVER_KEYS[3:])
-    kwargs = {k: section[k] for k in _SOLVER_KEYS[:-1] if k in section}
+    kwargs = {k: _real(section[k], f"{where}: {k}") if k in _SOLVER_REALS else section[k]
+              for k in _SOLVER_KEYS[:-1] if k in section}
     stride = number(section.get("snapshot_stride", stride), f"{where}: snapshot_stride", int)
     try:
         cfg = SolverConfig(snapshot_stride=stride, **kwargs)
@@ -159,11 +177,10 @@ def parse_solver(section, g: Grid, p: ModelParams, stride: int,
 
 def yosida_sections(doc) -> tuple[list, dict, dict]:
     """A yosida_lambda sweep's lambdas and base and reference solver sections, schemes defaulted."""
-    if not isinstance(doc["lambdas"], list) or not doc["lambdas"]:
-        raise ConfigError("lambdas: expected a non-empty list")
+    lambdas = nonempty_list(doc["lambdas"], "lambdas")
     base, ref = (require_keys(doc[k], k, (), _SOLVER_KEYS)
                  for k in ("base_solver", "reference_solver"))
-    return ([number(x, "lambdas") for x in doc["lambdas"]], {"scheme": "yosida", **base},
+    return ([number(x, "lambdas") for x in lambdas], {"scheme": "yosida", **base},
             {"scheme": "implicit_obstacle", **ref})
 
 
@@ -187,14 +204,13 @@ def output_dir(doc, override) -> str | None:
 
 def default_stride(solver_section, records: int) -> int:
     """max(1, round(t_end/dt) // records): about `records` snapshots over a solver
-    section's run; ConfigError if dt or t_end is missing or not a number."""
+    section's run.  1 where dt or t_end is missing or gives no step count:
+    parse_solver then refuses the section, naming the key."""
     try:
-        n_steps = round(float(solver_section["t_end"]) / float(solver_section["dt"]))
-    except KeyError as exc:
-        raise ConfigError(f"solver: missing key {exc}") from None
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"solver: dt and t_end must be numbers ({exc})") from None
-    return max(1, n_steps // records)
+        return max(1, round(float(solver_section["t_end"]) / float(solver_section["dt"]))
+                   // records)
+    except (KeyError, TypeError, ValueError, ArithmeticError):
+        return 1
 
 
 def parse_checks(section):

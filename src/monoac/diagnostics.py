@@ -36,6 +36,7 @@ __all__ = [
     "settling_time",
     "SINGLE_TRAJECTORY_CHECKS",
     "run_checks",
+    "error_report",
 ]
 
 
@@ -56,6 +57,11 @@ def _report(name, worst, tol, location=None, **details) -> CheckReport:
     worst = float(worst)
     return CheckReport(name=name, passed=bool(worst <= tol), worst_violation=worst,
                        tolerance=float(tol), location=location, details=details)
+
+
+def error_report(name: str, exc: Exception) -> CheckReport:
+    """The failed report of a check that could not run, its error in the details."""
+    return _report(name, float("inf"), 0.0, error=str(exc))
 
 
 def _snapshot_pairs(traj: Trajectory):
@@ -100,6 +106,12 @@ def check_energy_decrease(traj: Trajectory, tol: float = 1e-12) -> CheckReport:
                    energy_identity_defect_max=float(np.max(defect)))
 
 
+def _eta_cap_excess(traj: Trajectory) -> tuple[float, float]:
+    """(max over t of |eta(t)|_2^2 - |eta(0)|_2^2, |eta(0)|_2^2): the multiplier cap clause."""
+    level = float(traj.series("res_neg_l2sq")[0])
+    return float(np.max(traj.series("eta_l2") ** 2 - level)), level
+
+
 def check_eta_monotone(traj: Trajectory, tol: float | None = None) -> CheckReport:
     """Multiplier norm nonincreasing and always below its initial level.
 
@@ -111,19 +123,17 @@ def check_eta_monotone(traj: Trajectory, tol: float | None = None) -> CheckRepor
     rises = np.diff(eta)
     worst_rise = float(np.max(rises)) if len(rises) else 0.0
     loc = float(traj.times[int(np.argmax(rises)) + 1]) if len(rises) else None
-    dr0 = float(traj.series("res_neg_l2sq")[0])
-    bound_excess = float(np.max(eta**2 - dr0)) if len(eta) else 0.0
+    bound_excess, dr0 = _eta_cap_excess(traj)
     worst = max(worst_rise, bound_excess)
     return _report("eta_monotone", worst, tol_eta, loc,
                    initial_level=dr0, worst_rise=worst_rise,
                    worst_bound_excess=bound_excess)
 
 
-def check_range(traj: Trajectory, p: ModelParams | None = None,
-                upper_tol: float = 1e-8, lower_tol: float = 1e-12) -> CheckReport:
+def check_range(traj: Trajectory, upper_tol: float = 1e-8) -> CheckReport:
     """Range preservation: u0 <= u(t) <= max(sqrt(kappa), |u0|_inf)."""
-    p = p or traj.params
-    bound = max(np.sqrt(p.kappa), float(np.max(np.abs(traj.u0.values))))
+    lower_tol = 1e-12  # for u(t) >= u0
+    bound = max(np.sqrt(traj.params.kappa), float(np.max(np.abs(traj.u0.values))))
     linf = traj.series("u_linf")
     upper = float(np.max(linf - bound))
     lower = -float(np.min(traj.obstacle_gap_min))
@@ -134,9 +144,8 @@ def check_range(traj: Trajectory, p: ModelParams | None = None,
                    upper_tol=upper_tol, lower_tol=lower_tol)
 
 
-def check_comparison(traj_lo: Trajectory, traj_hi: Trajectory,
-                     tol: float = 1e-10) -> CheckReport:
-    """Ordered initial data stay ordered at every common snapshot time."""
+def check_comparison(traj_lo: Trajectory, traj_hi: Trajectory) -> CheckReport:
+    """Ordered initial data stay ordered, to 1e-10, at every common snapshot time."""
     if traj_lo.grid != traj_hi.grid or traj_lo.params != traj_hi.params \
             or traj_lo.config.scheme != traj_hi.config.scheme:
         raise ValueError("comparison requires matching grid, params and scheme")
@@ -150,11 +159,11 @@ def check_comparison(traj_lo: Trajectory, traj_hi: Trajectory,
             worst, loc = v, float(traj_hi.snapshot_times[j])
     if not pairs:
         raise ValueError("trajectories share no snapshot times")
-    return _report("comparison", worst, tol, loc, common_times=len(pairs))
+    return _report("comparison", worst, 1e-10, loc, common_times=len(pairs))
 
 
 def check_dissipation(traj: Trajectory, p: ModelParams | None = None,
-                      r: float | None = None, tol: float = 1e-6) -> CheckReport:
+                      tol: float = 1e-6) -> CheckReport:
     """Empirical forcing bound and the exponential envelope it implies.
 
     Estimates C_hat as the largest per-step value of
@@ -173,18 +182,16 @@ def check_dissipation(traj: Trajectory, p: ModelParams | None = None,
     excess = phi - envelope
     worst = float(np.max(excess))
     loc = float(t[int(np.argmax(excess))])
-    return _report("dissipation", worst, tol, loc, c_hat=c_hat,
-                   envelope_level=level, initial_level_r=r)
+    return _report("dissipation", worst, tol, loc, c_hat=c_hat, envelope_level=level)
 
 
 def fit_decay_rate(traj: Trajectory, t_start: float, t_end: float | None = None,
-                   floor_ratio: float = 1e-8, min_points: int = 10,
                    return_details: bool = False):
     """Least-squares decay rate of log |du/dt|_2 over [t_start, t_end].
 
-    The window is shortened automatically once the series falls below
-    floor_ratio times its in-window maximum (the floating-point floor of a
-    frozen state); stationary series cannot be fitted and raise ValueError.
+    The window is shortened automatically once the series falls below 1e-8
+    times its in-window maximum (the floating-point floor of a frozen state);
+    stationary series cannot be fitted and raise ValueError.
     """
     t = traj.times[:-1]
     v = traj.du_dt_l2
@@ -195,7 +202,7 @@ def fit_decay_rate(traj: Trajectory, t_start: float, t_end: float | None = None,
     if not np.any(pos):
         raise ValueError("rate series is zero on the fit window; nothing to fit")
     vmax = float(np.max(vw[pos]))
-    floor = vmax * floor_ratio
+    floor = vmax * 1e-8
     below = np.nonzero(vw < floor)[0]
     shortened = False
     if below.size:
@@ -204,7 +211,7 @@ def fit_decay_rate(traj: Trajectory, t_start: float, t_end: float | None = None,
         shortened = True
     keep = vw > 0
     tw, vw = tw[keep], vw[keep]
-    if len(tw) < min_points:
+    if len(tw) < 10:
         raise ValueError(
             f"only {len(tw)} usable points in the fit window; series reached the floor too early"
         )
@@ -217,8 +224,9 @@ def fit_decay_rate(traj: Trajectory, t_start: float, t_end: float | None = None,
 
 
 def check_equilibrium(traj: Trajectory, eq: Field, report,
-                      dist_tol: float = 1e-5, res_tol: float = 1e-6) -> CheckReport:
-    """Final state sits on the polished stationary solution, residuals certified."""
+                      res_tol: float = 1e-6) -> CheckReport:
+    """Final state sits on the polished stationary solution (to 1e-5), residuals certified."""
+    dist_tol = 1e-5
     dist = float(np.max(np.abs(traj.final_state().values - eq.values)))
     res = float(report.max_entry())
     worst = max(dist / dist_tol, res / res_tol)
@@ -266,9 +274,7 @@ def check_smoothing(traj: Trajectory, tol: float = 1e-6) -> CheckReport:
             continue
         lap_l2 = float(np.sqrt(g.cell_volume * np.sum(lap_array(g, s.values) ** 2)))
         sup_smoothing = max(sup_smoothing, min(float(t), 1.0) * lap_l2)
-    eta = traj.series("eta_l2")
-    dr0 = float(traj.series("res_neg_l2sq")[0])
-    worst = float(np.max(eta**2 - dr0))
+    worst, dr0 = _eta_cap_excess(traj)
     return _report("smoothing", worst, tol, None,
                    smoothing_constant=sup_smoothing, initial_level=dr0,
                    finite=bool(np.isfinite(sup_smoothing)))
@@ -359,11 +365,11 @@ def check_energy_flux(traj: Trajectory, slack: float | None = None) -> CheckRepo
                    lhs=lhs, rhs=rhs)
 
 
-def check_gradient_flux(traj: Trajectory, slack: float | None = None) -> CheckReport:
+def check_gradient_flux(traj: Trajectory) -> CheckReport:
     """Rate-gradient budget for smooth data; needs stride-1 snapshots.
 
     Discrete form of: integral |grad u_t|_2^2 dt + 0.5*|r(T)|_2^2 + kappa*E(T)
-    <= 0.5*|r(0)|_2^2 + kappa*E(0) + slack.
+    <= 0.5*|r(0)|_2^2 + kappa*E(0) + slack, slack 1e-4*(1 + |E(0)| + |r(0)|_2^2).
     """
     if traj.config.snapshot_stride != 1:
         raise ValueError("gradient flux check needs snapshot_stride == 1")
@@ -376,7 +382,7 @@ def check_gradient_flux(traj: Trajectory, slack: float | None = None) -> CheckRe
     e = traj.series("E")
     lhs = acc + 0.5 * float(traj.res_l2sq[-1]) + kappa * float(e[-1])
     rhs = 0.5 * float(traj.res_l2sq[0]) + kappa * float(e[0])
-    tol = 1e-4 * (1.0 + abs(float(e[0])) + float(traj.res_l2sq[0])) if slack is None else slack
+    tol = 1e-4 * (1.0 + abs(float(e[0])) + float(traj.res_l2sq[0]))
     return _report("gradient_flux", lhs - rhs, tol, float(traj.times[-1]),
                    lhs=lhs, rhs=rhs)
 
@@ -392,14 +398,15 @@ def settling_time(traj: Trajectory, eps: float) -> float | None:
     return float(traj.times[int(hits[0])]) if hits.size else None
 
 
+# name -> (check, the keyword that a configured tolerance sets)
 SINGLE_TRAJECTORY_CHECKS = {
-    "monotone": lambda traj, tol=None: check_monotone(traj, **({} if tol is None else {"tol": tol})),
-    "energy_decrease": lambda traj, tol=None: check_energy_decrease(traj, **({} if tol is None else {"tol": tol})),
-    "eta_monotone": lambda traj, tol=None: check_eta_monotone(traj, tol=tol),
-    "range": lambda traj, tol=None: check_range(traj, **({} if tol is None else {"upper_tol": tol})),
-    "dissipation": lambda traj, tol=None: check_dissipation(traj, **({} if tol is None else {"tol": tol})),
-    "smoothing": lambda traj, tol=None: check_smoothing(traj, **({} if tol is None else {"tol": tol})),
-    "energy_flux": lambda traj, tol=None: check_energy_flux(traj, **({} if tol is None else {"slack": tol})),
+    "monotone": (check_monotone, "tol"),
+    "energy_decrease": (check_energy_decrease, "tol"),
+    "eta_monotone": (check_eta_monotone, "tol"),
+    "range": (check_range, "upper_tol"),
+    "dissipation": (check_dissipation, "tol"),
+    "smoothing": (check_smoothing, "tol"),
+    "energy_flux": (check_energy_flux, "slack"),
 }
 
 
@@ -413,10 +420,10 @@ def run_checks(traj: Trajectory, requested) -> list[CheckReport]:
             name = item["name"]
             override = item.get("tolerance")
         try:
-            fn = SINGLE_TRAJECTORY_CHECKS[name]
+            check, keyword = SINGLE_TRAJECTORY_CHECKS[name]
         except KeyError:
             raise ValueError(
                 f"unknown check {name!r}; expected one of {sorted(SINGLE_TRAJECTORY_CHECKS)}"
             ) from None
-        reports.append(fn(traj, override))
+        reports.append(check(traj, **({} if override is None else {keyword: override})))
     return reports

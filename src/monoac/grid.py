@@ -15,6 +15,7 @@ holds exactly, which the norms and energies elsewhere rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,18 +59,12 @@ class Grid:
 
     @cached_property
     def n_nodes(self) -> int:
-        total = 1
-        for n in self.n_interior:
-            total *= n
-        return total
+        return math.prod(self.n_interior)
 
     @cached_property
     def cell_volume(self) -> float:
         """Quadrature weight h^dim of one interior node."""
-        total = 1.0
-        for h in self.h:
-            total *= h
-        return total
+        return math.prod(self.h)
 
     @cached_property
     def axis_eigenvalues(self) -> tuple[np.ndarray, ...]:
@@ -282,14 +277,8 @@ def stencil_min_eigenvalue(g: Grid) -> float:
 
 def first_mode(g: Grid) -> Field:
     """First eigenfield of the negative discrete Laplacian, scaled to peak value 1."""
-    axes = []
-    for n in g.n_interior:
-        k = np.arange(1, n + 1)
-        axes.append(np.sin(np.pi * k / (n + 1)))
-    if g.dim == 1:
-        v = axes[0]
-    else:
-        v = np.outer(axes[0], axes[1]).reshape(-1)
+    axes = [np.sin(np.pi * np.arange(1, n + 1) / (n + 1)) for n in g.n_interior]
+    v = axes[0] if g.dim == 1 else np.outer(*axes).reshape(-1)
     return Field(g, v / np.max(v))
 
 

@@ -8,6 +8,7 @@ here is a pure function of (grid, field, params).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,22 +45,13 @@ class ModelParams:
 SNAPSHOT_COLUMNS = ("t", "E", "phi", "eta_l2", "res_neg_l2sq", "u_l2", "u_l4", "u_linf", "h1")
 
 
-@dataclass(frozen=True)
-class EnergySnapshot:
-    """Per-step scalar diagnostics of a trajectory state."""
+class EnergySnapshot(namedtuple("EnergySnapshot", SNAPSHOT_COLUMNS)):
+    """Per-step scalar diagnostics of a trajectory state, one field per SNAPSHOT_COLUMNS entry."""
 
-    t: float
-    E: float
-    phi: float
-    eta_l2: float
-    res_neg_l2sq: float
-    u_l2: float
-    u_l4: float
-    u_linf: float
-    h1: float
+    __slots__ = ()
 
     def row(self) -> tuple[float, ...]:
-        return tuple(getattr(self, c) for c in SNAPSHOT_COLUMNS)
+        return tuple(self)
 
 
 def w_prime(u: Field, p: ModelParams) -> Field:
@@ -102,8 +94,7 @@ def dr_value(g: Grid, u: Field, p: ModelParams) -> float:
     A field with dr_value <= r lies in the invariant phase set of level r;
     the same number bounds |eta(t)|_2^2 along any trajectory started there.
     """
-    r = residual(g, u, p)
-    neg = np.minimum(r.values, 0.0)
+    neg = eta_of(g, u, p).values
     return float(g.cell_volume * np.sum(neg * neg))
 
 

@@ -223,8 +223,7 @@ def solve_active_set(prob: ObstacleProblem, u_init: Field, tol: float = 1e-10,
     return solve_pgs(prob, Field(g, np.maximum(u, psi)), tol=pgs_tol, max_iter=pgs_max_iter)
 
 
-def brute_force_obstacle(prob: ObstacleProblem, newton_tol: float = 1e-13,
-                         kkt_tol: float = 1e-10):
+def brute_force_obstacle(prob: ObstacleProblem):
     """Enumerate every active set on a tiny convex instance and verify KKT.
 
     Usable as an oracle only: requires at most 12 interior nodes and refuses
@@ -244,12 +243,12 @@ def brute_force_obstacle(prob: ObstacleProblem, newton_tol: float = 1e-13,
     for bits in itertools.product((False, True), repeat=n):
         active = np.array(bits)
         u = psi.copy()
-        if not _dense_newton(dense, prob, u, active, newton_tol):
+        if not _dense_newton(dense, prob, u, active, 1e-13):
             continue
         resid = prob.apply(u) - b
-        dual_ok = (not active.any()) or float(np.max(-resid[active])) <= kkt_tol
+        dual_ok = (not active.any()) or float(np.max(-resid[active])) <= 1e-10
         inactive = ~active
-        primal_ok = (not inactive.any()) or float(np.max(psi[inactive] - u[inactive])) <= kkt_tol
+        primal_ok = (not inactive.any()) or float(np.max(psi[inactive] - u[inactive])) <= 1e-10
         if dual_ok and primal_ok:
             u = np.maximum(u, psi)
             eta = np.where(active, np.minimum(-resid, 0.0), 0.0)
@@ -258,12 +257,12 @@ def brute_force_obstacle(prob: ObstacleProblem, newton_tol: float = 1e-13,
 
 
 def _dense_newton(dense: np.ndarray, prob: ObstacleProblem, u: np.ndarray,
-                  active: np.ndarray, tol: float, max_newton: int = 80) -> bool:
+                  active: np.ndarray, tol: float) -> bool:
     inactive = np.nonzero(~active)[0]
     if inactive.size == 0:
         return True
     b = prob.b.values
-    for _ in range(max_newton):
+    for _ in range(80):
         res = (prob.apply(u) - b)[inactive]
         if float(np.max(np.abs(res))) <= tol:
             return True
@@ -294,7 +293,7 @@ def complementarity_report(prob: ObstacleProblem, u: Field,
 
 
 def solve_equilibrium(g: Grid, u0: Field, p: ModelParams, warm_start: Field,
-                      tol: float = 1e-8, max_iter: int = 60):
+                      tol: float = 1e-8):
     """Polish a near-stationary state into a solution of the stationary system.
 
     The stationary problem keeps the initial datum as the obstacle and has no
@@ -318,7 +317,7 @@ def solve_equilibrium(g: Grid, u0: Field, p: ModelParams, warm_start: Field,
         return candidate, eta0, report
     try:
         u, eta, _ = solve_active_set(prob, candidate, tol=min(tol, 1e-10),
-                                     max_iter=max_iter, pgs_tol=min(tol, 1e-11))
+                                     max_iter=60, pgs_tol=min(tol, 1e-11))
     except (KernelError, LinearSolveError) as exc:
         raise KernelError(
             "equilibrium polish diverged; advance the trajectory further before polishing"

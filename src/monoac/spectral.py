@@ -75,7 +75,7 @@ def min_eig(g: Grid, V: Field, tol: float = 1e-9, max_iter: int = 500) -> EigenR
                        residual=resid)
 
 
-def sigma_rate(g: Grid, u0: Field, p: ModelParams, tol: float = 1e-9) -> float:
+def sigma_rate(g: Grid, u0: Field, p: ModelParams) -> float:
     """Decay rate lambda_min(3*u0^2) - kappa; positive means exponential decay.
 
     Only meaningful for nonnegative initial data, so negative entries are
@@ -84,5 +84,5 @@ def sigma_rate(g: Grid, u0: Field, p: ModelParams, tol: float = 1e-9) -> float:
     if float(np.min(u0.values)) < 0:
         raise ValueError("sigma_rate requires nonnegative initial data")
     V = Field(g, 3.0 * u0.values**2)
-    return min_eig(g, V, tol=tol).lambda_min - p.kappa
+    return min_eig(g, V).lambda_min - p.kappa
 

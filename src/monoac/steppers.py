@@ -309,27 +309,22 @@ def _resolvent_raw(g: Grid, v: np.ndarray, lam: np.ndarray, tol: float,
             trial = wa + step * delta
 
 
-def resolvent_jlambda(g: Grid, v: Field, lam: float, newton_tol: float = 1e-10,
-                      newton_max_iter: int = 50) -> Field:
+def resolvent_jlambda(g: Grid, v: Field, lam: float) -> Field:
     """Resolve w + lam*(-lap w + w^3) = v; unique by monotonicity."""
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    return Field(g, _resolvent_raw(g, v.values[None], np.full((1, g.n_nodes), lam), newton_tol,
-                                   newton_max_iter))
+    return Field(g, _resolvent_raw(g, v.values[None], np.full((1, g.n_nodes), lam),
+                                   SolverConfig.newton_tol, SolverConfig.newton_max_iter))
 
 
-def yosida_rhs(g: Grid, u: Field, p: ModelParams, lam: float,
-               newton_tol: float = 1e-10) -> Field:
+def yosida_rhs(g: Grid, u: Field, p: ModelParams, lam: float) -> Field:
     """Regularized rate (kappa*u - (u - w)/lam)_+ with w the resolvent of u: step_yosida's rate."""
-    return Field(g, _step_once(g, u, p, "yosida", cfl_limit(g), yosida_lambda=lam,
-                               newton_tol=newton_tol)[1])
+    return Field(g, _step_once(g, u, p, "yosida", cfl_limit(g), yosida_lambda=lam)[1])
 
 
-def step_yosida(g: Grid, u: Field, p: ModelParams, dt: float, lam: float,
-                newton_tol: float = 1e-10) -> Field:
+def step_yosida(g: Grid, u: Field, p: ModelParams, dt: float, lam: float) -> Field:
     """One forward-Euler step of the regularized flow; monotone like the others."""
-    return Field(g, _step_once(g, u, p, "yosida", dt, yosida_lambda=lam,
-                               newton_tol=newton_tol)[0])
+    return Field(g, _step_once(g, u, p, "yosida", dt, yosida_lambda=lam)[0])
 
 
 def run(g: Grid, u0, p: ModelParams, cfg):

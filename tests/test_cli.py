@@ -269,6 +269,21 @@ class TestVerifyCommand:
         assert monotone["location"] == pytest.approx(float(traj.times[14]))
         assert range_["passed"] is True
 
+    def test_failing_check_line_gives_its_location(self, tmp_path, capsys):
+        g = make_grid(1, (-1, 1), 63)
+        p = ModelParams(kappa=1.0)
+        cfg = SolverConfig(scheme="implicit_obstacle", dt=0.02, t_end=2.0, snapshot_stride=10)
+        traj = run(g, make_initial("abs_edge", g, p), p, cfg)
+        traj.step_min_increment[13] = -1e-6  # the step to t_14 = 0.28
+        out = tmp_path / "dip"
+        write_trajectory(traj, out)
+        verify_doc = {"trajectory": str(out), "checks": ["monotone", "range", "no_such_check"]}
+        assert main(["verify", "--config", write_config(tmp_path, verify_doc, "v.json")]) == 4
+        monotone, range_, unknown = capsys.readouterr().out.splitlines()
+        assert monotone == "[FAIL] monotone: violation 1.000e-06 vs tol 1.000e-12 at t=0.28"
+        assert re.fullmatch(r"\[PASS\] range: violation \S+ vs tol 1\.000e\+00", range_)
+        assert unknown == "[FAIL] no_such_check: violation inf vs tol 0.000e+00"  # no location
+
     def test_solver_failure_exits_3_with_partial_outputs(self, tmp_path, capsys):
         doc = run_config(tmp_path, checks=["monotone"])
         doc["solver"].update({"newton_max_iter": 1, "pgs_max_iter": 2})
@@ -720,6 +735,21 @@ REFUSALS = {
                              "potential: path"),
     "warm_trajectory_empty": ("equilibrium", _set("warm_start", {"trajectory": ""}),
                               "warm_start: trajectory"),
+    "dim_bool": ("run", _set("domain", "dim", True), "domain: dim"),
+    "endpoint_string": ("run", _set("domain", "endpoints", [-1, "abc"]), "domain: endpoints"),
+    "endpoint_2d_bool": ("run", _set("domain", {"dim": 2, "endpoints": [[-1, 1], [0, True]],
+                                                "n_interior": [5, 5]}), "domain: endpoints"),
+    "dt_bool": ("run", _set("solver", "dt", True), "solver: dt"),
+    "dt_string": ("run", _set("solver", "dt", "abc"), "solver: dt"),
+    "t_end_bool": ("run", _set("solver", "t_end", True), "solver: t_end"),
+    "newton_tol_string": ("run", _set("solver", "newton_tol", "abc"), "solver: newton_tol"),
+    "pgs_tol_string": ("run", _set("solver", "pgs_tol", "abc"), "solver: pgs_tol"),
+    "yosida_lambda_bool": ("family", _set("solver", "yosida_lambda", True),
+                           "solver: yosida_lambda"),
+    "warm_run_dt_string": ("equilibrium", _set("warm_start", "run", "dt", "abc"),
+                           "warm_start: run: dt"),
+    "presets_number": ("family", _set("presets", 5), "presets"),
+    "presets_empty": ("family", _set("presets", []), "presets"),
 }
 
 

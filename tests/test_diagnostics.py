@@ -1,4 +1,5 @@
 import copy
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from monoac import Field, ModelParams, SolverConfig, cfl_limit, make_grid, norm_lp, run
 from monoac.diagnostics import (
+    SINGLE_TRAJECTORY_CHECKS,
     check_absorbing,
     check_comparison,
     check_dissipation,
@@ -455,6 +457,14 @@ class TestRunChecks:
         ])
         assert [r.name for r in reports] == ["monotone", "energy_decrease", "eta_monotone"]
         assert reports[1].tolerance == 1e-10
+
+    def test_every_override_keyword_is_a_parameter_of_its_check(self):
+        for name, (check, keyword) in SINGLE_TRAJECTORY_CHECKS.items():
+            assert keyword in inspect.signature(check).parameters, name
+
+    def test_dissipation_details_are_the_forcing_bound_and_its_level(self, abs_edge_traj):
+        [rep] = run_checks(abs_edge_traj, ["dissipation"])
+        assert sorted(rep.details) == ["c_hat", "envelope_level"]
 
     def test_unknown_name_rejected(self, abs_edge_traj):
         with pytest.raises(ValueError, match="unknown check"):
