@@ -145,7 +145,7 @@ def cmd_eigen(args, doc) -> int:
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"]) if "model" in doc else ModelParams(kappa=1.0)
     V = config.parse_potential(doc["potential"], g, p)
-    options = {k: config.number(doc[k], k, kind)
+    options = {k: config.positive(doc[k], k, kind)
                for k, kind in (("tol", float), ("max_iter", int)) if k in doc}
     outdir = config.output_dir(doc, args.out)
     try:
@@ -170,7 +170,7 @@ def cmd_equilibrium(args, doc) -> int:
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"])
     u0 = parse_initial(doc["obstacle"], g, p)
-    tol = config.number(doc.get("tol", 1e-6), "tol")
+    tol = config.positive(doc.get("tol", 1e-6), "tol")
     kind, source = config.warm_start_source(doc["warm_start"])
     if kind == "run":
         source = parse_solver(source, g, p, config.default_stride(source, 10), "warm_start: run")
@@ -257,7 +257,7 @@ def _sweep_family(args, doc) -> int:
     initials = [parse_initial(section, g, p)
                 for section in config.nonempty_list(doc["presets"], "presets")]
     cfg = parse_solver(doc["solver"], g, p, 1)
-    margin = config.number(doc.get("margin", 1.0), "margin")
+    margin = config.positive(doc.get("margin", 1.0), "margin")
     outdir = config.output_dir(doc, args.out)
 
     try:

@@ -19,7 +19,7 @@ from .steppers import SolverConfig
 __all__ = ["ConfigError", "RunSetup", "load_json", "parse_run_config", "parse_domain",
            "parse_model", "parse_initial", "parse_potential", "parse_solver", "parse_checks",
            "yosida_sections", "warm_start_source", "output_dir", "require_keys",
-           "default_stride", "number", "nonempty_list"]
+           "default_stride", "number", "positive", "nonempty_list"]
 
 
 class ConfigError(ValueError):
@@ -50,6 +50,13 @@ def number(value, where: str, kind=float):
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
+def positive(value, where: str, kind=float):
+    """number() of an entry that must be finite and > 0: an integer >= 1 where kind is int."""
+    if not 0 < (x := number(value, where, kind)) < np.inf:
+        raise ConfigError(f"{where}: expected a finite number > 0, got {value!r}")
+    return x
 
 
 def _numbers(value, where: str, kind=float):

@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 
+# semismooth Newton and PGS defaults, also SolverConfig's
+NEWTON_TOL, NEWTON_MAX_ITER, PGS_TOL, PGS_MAX_ITER = 1e-10, 50, 1e-11, 100_000
+
+
 class KernelError(RuntimeError):
     """A constrained solve failed; carries the best iterate diagnostics."""
 
@@ -114,8 +118,8 @@ def _clamped_multiplier(prob: ObstacleProblem, u: np.ndarray) -> np.ndarray:
     return np.where(contact, np.minimum(raw, 0.0), 0.0)
 
 
-def solve_pgs(prob: ObstacleProblem, u_init: Field, tol: float = 1e-11,
-              max_iter: int = 100_000):
+def solve_pgs(prob: ObstacleProblem, u_init: Field, tol: float = PGS_TOL,
+              max_iter: int = PGS_MAX_ITER):
     """Projected nonlinear Gauss-Seidel in red-black order (Cryer 1971).
 
     A sweep updates the nodes of even index sum, then those of odd index sum;
@@ -150,27 +154,26 @@ def solve_pgs(prob: ObstacleProblem, u_init: Field, tol: float = 1e-11,
     return Field(g, u), Field(g, eta), sweeps
 
 
-def solve_active_set(prob: ObstacleProblem, u_init: Field, tol: float = 1e-10,
-                     max_iter: int | None = None, newton_max_iter: int = 50,
-                     pgs_tol: float = 1e-11, pgs_max_iter: int = 100_000):
+def solve_active_set(prob: ObstacleProblem, u_init: Field, tol: float = NEWTON_TOL,
+                     newton_max_iter: int = NEWTON_MAX_ITER, pgs_tol: float = PGS_TOL,
+                     pgs_max_iter: int = PGS_MAX_ITER):
     """Primal-dual active set as a semismooth Newton method (Hintermueller, Ito, Kunisch 2002).
 
-    Each pass guesses the contact set {G(u) + psi - u > 0}, pins u to psi on it
-    and takes one damped Newton step for G = 0 off it, until the KKT system
-    holds: stationarity off contact and wrong-signed multiplier mass below tol.
-    A guess is adopted only if it is new or the current set is solved
-    (stationarity below tol), which keeps full steps from alternating between
-    two sets; guessing a solved set again is a cycle.  max_iter bounds the sets
-    adopted (the count returned), newton_max_iter the consecutive steps on one
-    set.  A cycle, a spent budget or a failed step falls back to solve_pgs,
-    run with pgs_tol and pgs_max_iter.
-
-    Contact can release as a front moving one node per set (kinked data do
-    exactly this), so the default set budget scales with the node count.
+    Each pass first tests the KKT system of the iterate it holds (stationarity
+    off the current set and wrong-signed multiplier mass on it below tol,
+    u >= psi) and returns if it holds.  Only then does it guess the contact set
+    {G(u) + psi - u > 0}, pin u to psi on it and take one damped Newton step
+    for G = 0 off it.  A guess is adopted only if it is new or the current set
+    is solved (stationarity below tol), which keeps full steps from alternating
+    between two sets; guessing a solved set again is a cycle.  Contact can
+    release as a front moving one node per set along an axis (kinked data do
+    exactly this), so at most max(60, 2 * max(grid shape)) sets are adopted;
+    newton_max_iter bounds the steps on one set.  A cycle, a spent budget or a
+    failed step falls back to solve_pgs with pgs_tol and pgs_max_iter.  The
+    count returned is the sets adopted, or after a fallback PGS's sweeps.
     """
     g = prob.grid
-    if max_iter is None:
-        max_iter = max(60, 2 * g.n_nodes)
+    budget = max(60, 2 * max(g.shape))
     psi = prob.psi.values
     shift = prob.diag_shift()
     u = np.maximum(u_init.values, psi)
@@ -180,10 +183,14 @@ def solve_active_set(prob: ObstacleProblem, u_init: Field, tol: float = 1e-10,
     current, norm = None, np.inf  # norm: stationarity off the current set
     adopted = newton_steps = 0
     while True:
+        if (norm <= tol and float(np.max(-resid[active], initial=0.0)) <= max(tol, 1e-12)
+                and float(np.max(psi - u)) <= primal_tol):
+            eta = np.where(active, np.minimum(-resid, 0.0), 0.0)
+            return Field(g, np.maximum(u, psi)), Field(g, eta), adopted
         guess = (resid + (psi - u)) > 0.0  # ties classified inactive
         key = hashlib.blake2b(guess.tobytes(), digest_size=8).digest()
         if key != current and (key not in solved or norm <= tol):
-            if solved.get(key) or adopted == max_iter:
+            if solved.get(key) or adopted == budget:
                 break  # a solved set guessed again (cycling), or the set budget spent
             active, free, current = guess, ~guess, key
             solved[key] = False
@@ -193,10 +200,6 @@ def solve_active_set(prob: ObstacleProblem, u_init: Field, tol: float = 1e-10,
             resid = prob.stationarity(u)
             norm = float(np.max(np.abs(resid[free]), initial=0.0))
         if norm <= tol:
-            if (float(np.max(-resid[active], initial=0.0)) <= max(tol, 1e-12)
-                    and float(np.max(psi - u)) <= primal_tol):
-                eta = np.where(active, np.minimum(-resid, 0.0), 0.0)
-                return Field(g, np.maximum(u, psi)), Field(g, eta), adopted
             if solved[current]:
                 break  # the solved set is guessed again: cycling
             solved[current] = True
@@ -228,7 +231,10 @@ def brute_force_obstacle(prob: ObstacleProblem):
 
     Usable as an oracle only: requires at most 12 interior nodes and refuses
     instances whose a = 0 operator carries the destabilizing -kappa*u term.
-    Returns the first (unique, for convex instances) verified (u, eta_hat).
+    Newton runs on all 2^n sets at once, each set's nodes pinned to psi by
+    identity rows and columns, to 1e-13 off them in at most 80 steps; a set
+    whose iterate passes 1e8 is dropped.  Returns the first verified
+    (u, eta_hat) in itertools.product order (unique, for convex instances).
     """
     g = prob.grid
     n = g.n_nodes
@@ -237,44 +243,35 @@ def brute_force_obstacle(prob: ObstacleProblem):
     if prob.nonconvex:
         raise KernelError("a = 0 instance with the kappa term inside may be nonconvex; refusing")
     psi = prob.psi.values
-    b = prob.b.values
     eye = np.eye(n)
     dense = prob.diag_shift() * eye - lap_array(g, eye)  # the stencil is symmetric
-    for bits in itertools.product((False, True), repeat=n):
-        active = np.array(bits)
-        u = psi.copy()
-        if not _dense_newton(dense, prob, u, active, 1e-13):
-            continue
-        resid = prob.apply(u) - b
-        dual_ok = (not active.any()) or float(np.max(-resid[active])) <= 1e-10
-        inactive = ~active
-        primal_ok = (not inactive.any()) or float(np.max(psi[inactive] - u[inactive])) <= 1e-10
-        if dual_ok and primal_ok:
-            u = np.maximum(u, psi)
-            eta = np.where(active, np.minimum(-resid, 0.0), 0.0)
-            return Field(g, u), Field(g, eta)
-    raise KernelError("no active set verifies KKT; instance is nonconvex or tolerances too tight")
-
-
-def _dense_newton(dense: np.ndarray, prob: ObstacleProblem, u: np.ndarray,
-                  active: np.ndarray, tol: float) -> bool:
-    inactive = np.nonzero(~active)[0]
-    if inactive.size == 0:
-        return True
-    b = prob.b.values
-    for _ in range(80):
-        res = (prob.apply(u) - b)[inactive]
-        if float(np.max(np.abs(res))) <= tol:
-            return True
-        jac = dense[np.ix_(inactive, inactive)] + np.diag(3.0 * u[inactive] ** 2)
-        try:
-            delta = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return False
-        u[inactive] += delta
-        if np.max(np.abs(u)) > 1e8:
-            return False
-    return float(np.max(np.abs((prob.apply(u) - b)[inactive]))) <= tol
+    active = np.array(list(itertools.product((False, True), repeat=n)), dtype=bool)
+    # each set's linear part, with identity rows and columns on its pinned nodes
+    base = np.where(active[:, :, None] | active[:, None, :], eye, dense)
+    u = np.tile(psi, (len(active), 1))
+    converged = np.zeros(len(active), dtype=bool)
+    live = np.arange(len(active))
+    for k in range(81):  # 81 convergence tests around at most 80 Newton steps
+        res = np.where(active[live], 0.0, prob.stationarity(u[live]))
+        done = np.max(np.abs(res), axis=1) <= 1e-13
+        converged[live[done]] = True
+        live = live[~done]
+        if k == 80 or not live.size:
+            break
+        jac = base[live]
+        jac.reshape(len(live), -1)[:, ::n + 1] += np.where(active[live], 0.0, 3.0 * u[live] ** 2)
+        u[live] += np.linalg.solve(jac, -res[~done, :, None])[..., 0]
+        live = live[np.max(np.abs(u[live]), axis=1) <= 1e8]
+    sets = np.flatnonzero(converged)
+    u, active = u[sets], active[sets]
+    resid = prob.stationarity(u)
+    ok = ((np.max(np.where(active, -resid, -np.inf), axis=1) <= 1e-10)
+          & (np.max(np.where(active, -np.inf, psi - u), axis=1) <= 1e-10))
+    if not ok.any():
+        raise KernelError("no active set verifies KKT; nonconvex instance or tolerances too tight")
+    i = np.argmax(ok)
+    eta = np.where(active[i], np.minimum(-resid[i], 0.0), 0.0)
+    return Field(g, np.maximum(u[i], psi)), Field(g, eta)
 
 
 def complementarity_report(prob: ObstacleProblem, u: Field,
@@ -306,8 +303,7 @@ def solve_equilibrium(g: Grid, u0: Field, p: ModelParams, warm_start: Field,
     gap_floor = -1e-10 * (1.0 + float(np.max(np.abs(u0.values))))
     if float(np.min(warm_start.values - u0.values)) < gap_floor:
         raise KernelError("warm start lies below the obstacle; it is not a trajectory state")
-    prob = ObstacleProblem(grid=g, psi=u0, a=0.0,
-                           b=Field(g, np.zeros(g.n_nodes)),
+    prob = ObstacleProblem(grid=g, psi=u0, a=0.0, b=Field(g, np.zeros(g.n_nodes)),
                            kappa_implicit=True, params=p)
     w = np.maximum(warm_start.values, u0.values)
     eta0 = Field(g, _clamped_multiplier(prob, w))
@@ -316,17 +312,14 @@ def solve_equilibrium(g: Grid, u0: Field, p: ModelParams, warm_start: Field,
     if report.max_entry() <= tol:
         return candidate, eta0, report
     try:
-        u, eta, _ = solve_active_set(prob, candidate, tol=min(tol, 1e-10),
-                                     max_iter=60, pgs_tol=min(tol, 1e-11))
+        u, eta, _ = solve_active_set(prob, candidate, tol=min(tol, NEWTON_TOL),
+                                     pgs_tol=min(tol, PGS_TOL))
     except (KernelError, LinearSolveError) as exc:
-        raise KernelError(
-            "equilibrium polish diverged; advance the trajectory further before polishing"
-        ) from exc
+        raise KernelError("equilibrium polish diverged; advance the trajectory further "
+                          "before polishing") from exc
     report = complementarity_report(prob, u, eta)
     if report.max_entry() > tol:
-        raise KernelError(
-            f"equilibrium polish stalled at residual {report.max_entry():.3e} > {tol:.1e}; "
-            "advance the trajectory further before polishing",
-            report=report,
-        )
+        raise KernelError(f"equilibrium polish stalled at residual {report.max_entry():.3e} > "
+                          f"{tol:.1e}; advance the trajectory further before polishing",
+                          report=report)
     return u, eta, report

@@ -28,7 +28,8 @@ from .model import (
     _snapshot_values,
     residual_array,
 )
-from .obstacle import KernelError, ObstacleProblem, complementarity_report, solve_active_set
+from .obstacle import (NEWTON_MAX_ITER, NEWTON_TOL, PGS_MAX_ITER, PGS_TOL, KernelError,
+                       ObstacleProblem, complementarity_report, solve_active_set)
 
 __all__ = [
     "SolverConfig",
@@ -75,10 +76,10 @@ class SolverConfig:
     t_end: float
     splitting: str = "convex_split"
     yosida_lambda: float = 1e-2
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
-    pgs_tol: float = 1e-11
-    pgs_max_iter: int = 100_000
+    newton_tol: float = NEWTON_TOL
+    newton_max_iter: int = NEWTON_MAX_ITER
+    pgs_tol: float = PGS_TOL
+    pgs_max_iter: int = PGS_MAX_ITER
     snapshot_stride: int = 1
 
     def validate(self, g: Grid, p: ModelParams):
@@ -196,8 +197,7 @@ def _raw_step(g: Grid, p: ModelParams, cfg: SolverConfig):
             done = []  # per row: (u_next, multiplier, inner iterations)
             for i, row in enumerate(u):
                 try:
-                    done.append(_implicit_step(g, row, p, dt, cfg.splitting, cfg.newton_tol,
-                                               cfg.newton_max_iter, cfg.pgs_tol, cfg.pgs_max_iter))
+                    done.append(_implicit_step(g, row, p, cfg))
                 except SolverError as exc:
                     exc.member = i
                     raise
@@ -219,20 +219,19 @@ def step_explicit(g: Grid, u: Field, p: ModelParams, dt: float) -> Field:
     return Field(g, _step_once(g, u, p, "explicit", dt)[0])
 
 
-def _implicit_step(g, u_prev: np.ndarray, p, dt, splitting, newton_tol, newton_max_iter,
-                   pgs_tol, pgs_max_iter):
+def _implicit_step(g, u_prev: np.ndarray, p, cfg: SolverConfig):
     # convex_split takes kappa*u explicitly; fully_implicit does not (convex for dt < 1/kappa)
-    b = u_prev * (1.0 / dt + p.kappa) if splitting == "convex_split" else u_prev / dt
-    prob = ObstacleProblem(grid=g, psi=Field(g, u_prev), a=1.0 / dt, b=Field(g, b),
-                           kappa_implicit=splitting == "fully_implicit", params=p)
+    b = u_prev * (1.0 / cfg.dt + p.kappa) if cfg.splitting == "convex_split" else u_prev / cfg.dt
+    prob = ObstacleProblem(grid=g, psi=Field(g, u_prev), a=1.0 / cfg.dt, b=Field(g, b),
+                           kappa_implicit=cfg.splitting == "fully_implicit", params=p)
     try:
-        u_next, eta_hat, iters = solve_active_set(prob, prob.psi, tol=newton_tol,
-                                                  newton_max_iter=newton_max_iter,
-                                                  pgs_tol=pgs_tol, pgs_max_iter=pgs_max_iter)
+        u_next, eta_hat, iters = solve_active_set(
+            prob, prob.psi, tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter,
+            pgs_tol=cfg.pgs_tol, pgs_max_iter=cfg.pgs_max_iter)
     except (KernelError, LinearSolveError) as exc:
         raise SolverError(f"implicit step failed: {exc}") from exc
     report = complementarity_report(prob, u_next, eta_hat)
-    if report.max_entry() > 1e3 * max(newton_tol, pgs_tol):
+    if report.max_entry() > 1e3 * max(cfg.newton_tol, cfg.pgs_tol):
         raise SolverError(
             f"implicit step stalled after {iters} sweeps at residual "
             f"{report.max_entry():.3e}", report=report,

@@ -750,6 +750,12 @@ REFUSALS = {
                            "warm_start: run: dt"),
     "presets_number": ("family", _set("presets", 5), "presets"),
     "presets_empty": ("family", _set("presets", []), "presets"),
+    "margin_negative": ("family", _set("margin", -1000), "margin"),
+    "margin_nan": ("family", _set("margin", "nan"), "margin"),
+    "eigen_max_iter_zero": ("eigen", _set("max_iter", 0), "max_iter"),
+    "eigen_tol_negative": ("eigen", _set("tol", -1), "tol"),
+    "equilibrium_tol_negative": ("equilibrium", _set("tol", -1), "tol"),
+    "equilibrium_tol_nan": ("equilibrium", _set("tol", "nan"), "tol"),
 }
 
 

@@ -204,6 +204,48 @@ class TestSemismoothLoop:
         run(g, u0, P1, SolverConfig(scheme="implicit_obstacle", dt=0.01, t_end=0.05))
         assert len(calls) <= 20
 
+    @staticmethod
+    def capped_solves(monkeypatch, cap):
+        """Count obstacle.solve_shifted calls; raise past cap so a stalled loop fails fast."""
+        from monoac import obstacle
+
+        calls = []
+        solve_shifted = obstacle.solve_shifted
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > cap:
+                raise AssertionError(f"more than {cap} linear solves")
+            return solve_shifted(*args, **kwargs)
+
+        monkeypatch.setattr(obstacle, "solve_shifted", counted)
+        return calls
+
+    @pytest.mark.parametrize("preset,dt", [("bump", 0.1), ("bump", 0.01), ("bump", 0.001),
+                                           ("neg_const", 0.001)])
+    def test_a_run_reaching_its_fixed_point_does_not_stall(self, monkeypatch, no_pgs,
+                                                          preset, dt):
+        # criterion-4 members: near the fixed point every new guess used to be adopted
+        # until the set budget was spent, then PGS took over
+        calls = self.capped_solves(monkeypatch, 5_000)
+        if preset == "bump":
+            g = make_grid(1, (0, 1), 127)
+            u0 = make_initial("bump", g, P1, center=0.5, width=0.25, height=0.2)
+        else:
+            g = make_grid(1, (-1, 1), 127)
+            u0 = make_initial("neg_const", g, P1)
+        run(g, u0, P1, SolverConfig(scheme="implicit_obstacle", dt=dt, t_end=2.0,
+                                    snapshot_stride=max(1, int(0.5 / dt))))
+        assert calls
+
+    def test_a_2d_run_reaching_its_fixed_point_does_not_stall(self, monkeypatch, no_pgs):
+        calls = self.capped_solves(monkeypatch, 200)
+        g = make_grid(2, ((0, 1), (0, 1)), (63, 63))
+        u0 = make_initial("bump", g, P1, center=(0.5, 0.5), width=(0.25, 0.3), height=0.2)
+        run(g, u0, P1, SolverConfig(scheme="implicit_obstacle", dt=0.01, t_end=1.0,
+                                    snapshot_stride=50))
+        assert calls
+
     def test_one_newton_step_per_set_reaches_the_fallback(self, monkeypatch):
         from monoac import obstacle
 
@@ -238,6 +280,18 @@ class TestBruteForce:
             else:
                 assert u.values[0] == pytest.approx(root, abs=1e-10)
                 assert eta.values[0] == 0.0
+
+    def test_first_verified_set_in_enumeration_order(self):
+        # G(psi) = +5e-11: the free set (u a hair below psi) and the contact set (a
+        # multiplier of -5e-11) both pass KKT to 1e-10; the free set is enumerated first
+        g = make_grid(1, (0, 1), 1)
+        psi = Field(g, [0.3])
+        prob = ObstacleProblem(grid=g, psi=psi, a=100.0,
+                               b=Field(g, prob_apply(g, psi.values, 100.0) - 5e-11),
+                               kappa_implicit=False, params=P1)
+        u, eta = brute_force_obstacle(prob)
+        assert u.values[0] == 0.3
+        assert eta.values[0] == 0.0
 
     def test_node_budget_enforced(self):
         g = make_grid(1, (0, 1), 13)
