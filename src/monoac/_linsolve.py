@@ -58,12 +58,12 @@ def solve_shifted(g: Grid, diag, rhs: np.ndarray, fixed: np.ndarray | None = Non
                   rtol: float = 1e-12) -> np.ndarray:
     """Solve (diag(d) - lap) x = rhs with x = 0 on the fixed nodes.
 
-    A (B, n) rhs, with diag and fixed alike, holds B independent systems.
+    A (B, n) rhs, with diag and fixed alike, holds B independent systems; no input is modified.
     """
+    if g.dim == 1:
+        return _solve_banded_1d(g, diag, rhs, fixed)
     d = np.empty(rhs.shape)
     d[...] = diag
-    if g.dim == 1:
-        return _solve_banded_1d(g, d, rhs, fixed)
     if rhs.ndim == 1:
         return _solve_cg(g, d, rhs, fixed, rtol=rtol)
     x = np.empty(rhs.shape)
@@ -85,19 +85,19 @@ def _off_diagonal(n: int, size: int, h: float) -> np.ndarray:
     return off
 
 
-def _solve_banded_1d(g: Grid, d: np.ndarray, rhs: np.ndarray,
+def _solve_banded_1d(g: Grid, diag, rhs: np.ndarray,
                      fixed: np.ndarray | None) -> np.ndarray:
-    # d is a private copy: it becomes the main diagonal in place.  A batch is one
-    # block-diagonal system: no coupling crosses rows, so each solves as if alone
+    # d is diag's one copy; dgtsv copies the others unless fixed nodes change them first.
+    # A batch is one block-diagonal system: no coupling crosses rows, so each solves alone
     n = g.n_nodes
-    d = d.reshape(-1)
+    d = np.add(diag, 2.0 * (1.0 / (g.h[0] * g.h[0])), out=np.empty(rhs.shape)).reshape(-1)
     size = d.size
-    d += 2.0 * (1.0 / (g.h[0] * g.h[0]))
-    off = _off_diagonal(n, size, g.h[0])
-    dl, du = off.copy(), off.copy()
-    b = rhs.reshape(-1).copy()
-    if fixed is not None and fixed.any():
+    dl = du = _off_diagonal(n, size, g.h[0])
+    b = rhs.reshape(-1)
+    own = fixed is not None and bool(fixed.any())
+    if own:
         idx = np.flatnonzero(fixed)
+        dl, du, b = dl.copy(), du.copy(), b.copy()
         d[idx] = 1.0
         b[idx] = 0.0
         # identity rows: cut every coupling into and out of a fixed node
@@ -109,8 +109,7 @@ def _solve_banded_1d(g: Grid, d: np.ndarray, rhs: np.ndarray,
         if d[0] == 0.0:
             raise LinearSolveError("tridiagonal solve failed: singular 1x1 system", row=0)
         return (b / d).reshape(rhs.shape)
-    _, _, _, x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                             overwrite_b=1)
+    _, _, _, x, info = dgtsv(dl, d, du, b, own, 1, own, own)  # overwrite_dl, _d, _du, _b
     if info != 0:  # info > 0: the 1-based index of a zero pivot
         raise LinearSolveError(f"tridiagonal solve failed (LAPACK dgtsv info={info})",
                                row=(info - 1) // n if info > 0 else None)

@@ -235,11 +235,12 @@ def h1_grad_sq(g: Grid, a: np.ndarray):
     value per leading index, a single field gives a float.
     """
     if g.dim == 1:
-        d = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
-        d[..., 0] = a[..., 0]
-        d[..., -1] = a[..., -1]
-        np.subtract(a[..., 1:], a[..., :-1], out=d[..., 1:-1])
-        total = (d * d).sum(axis=-1) / (g.h[0] * g.h[0])
+        # rows end to end, each after a 0: one unstrided difference gives each row's edges
+        rows = a.shape[:-1] + (a.shape[-1] + 1,)
+        pad = np.zeros(math.prod(rows) + 1)
+        pad[1:].reshape(rows)[..., :-1] = a
+        d = np.subtract(pad[1:], pad[:-1]).reshape(rows)
+        total = np.multiply(d, d, out=d).sum(axis=-1) / (g.h[0] * g.h[0])
     else:
         v = a.reshape(a.shape[:-1] + g.shape)
         d0 = np.diff(v, axis=-2, prepend=0.0, append=0.0)

@@ -174,7 +174,7 @@ def _raw_step(g: Grid, p: ModelParams, cfg: SolverConfig):
     """cfg's scheme as one step of a (B, n) array of states: step(u, r, state) -> (u_next, stats).
 
     r is the residual of u; state lists the per-row arrays carried between steps
-    (yosida's lambdas and resolvent warm start, which each step replaces).  stats
+    (yosida's lambdas, resolvent warm start and its image, which each step replaces).  stats
     are yosida's rates, implicit's multipliers and inner iterations per row, or
     None.  A SolverError names its row as ``member``.
     """
@@ -185,12 +185,12 @@ def _raw_step(g: Grid, p: ModelParams, cfg: SolverConfig):
             rate = np.maximum(r, 0.0)
             return np.add(np.multiply(rate, dt, out=rate), u, out=rate), None
     elif cfg.scheme == "yosida":
-        def step(u, r, state):
+        def step(u, r, state):  # r unread: run() takes yosida's residuals per flush block
             lam = state[0]
-            state[1] = w = _resolvent_raw(g, u, lam, cfg.newton_tol, cfg.newton_max_iter, state[1])
+            state[1:] = _resolvent_raw(g, u, lam, cfg.newton_tol, cfg.newton_max_iter, *state[1:])
             # (u - w)/lam equals -lap(w) + w^3 exactly at the solve, but this form
             # does not re-amplify the Newton tolerance through the stencil
-            rate = np.maximum(p.kappa * u - (u - w) / lam, 0.0)
+            rate = np.maximum(p.kappa * u - (u - state[1]) / lam, 0.0)
             return u + dt * rate, rate
     else:
         def step(u, r, state):
@@ -210,8 +210,8 @@ def _step_once(g: Grid, u: Field, p: ModelParams, scheme: str, dt: float, **opti
     """(u_next, stats) of the raw step of a scheme from the single state u."""
     cfg = SolverConfig(scheme, dt, dt, **options)
     v = u.values[None]
-    state = [np.full(v.shape, cfg.yosida_lambda), None] if scheme == "yosida" else []
-    return _raw_step(g, p, cfg)(v, residual_array(g, v, p), state)
+    state = [np.full(v.shape, cfg.yosida_lambda), None, None] if scheme == "yosida" else []
+    return _raw_step(g, p, cfg)(v, None if scheme == "yosida" else residual_array(g, v, p), state)
 
 
 def step_explicit(g: Grid, u: Field, p: ModelParams, dt: float) -> Field:
@@ -250,29 +250,32 @@ def step_implicit_obstacle(g: Grid, u_prev: Field, p: ModelParams, dt: float,
     return Field(g, u_next), etas[0]
 
 
-def _resolvent_raw(g: Grid, v: np.ndarray, lam: np.ndarray, tol: float,
-                   max_iter: int, w0: np.ndarray | None = None) -> np.ndarray:
+def _resolvent_raw(g: Grid, v: np.ndarray, lam: np.ndarray, tol: float, max_iter: int,
+                   w0: np.ndarray | None = None, tw0: np.ndarray | None = None):
     """Newton solve of w + lam*(-lap w + w^3) = v per row of a (B, n) v; monotone.
 
-    lam is shaped like v, each row full of its lambda (numpy broadcasts a column
-    slower).  Newton runs on the rows above tol, their systems solved as one
-    batch; each row halves its line-search step until its residual drops.
+    Returns w and its image tw = w + lam*(w^3 - lap w).  lam is shaped like v, each
+    row full of its lambda (numpy broadcasts a column slower).  A warm start w0 may
+    come with the image tw0 its solve returned: the residual tw0 - v is a fresh
+    stencil's bit for bit, so only Newton iterates evaluate the stencil.  Newton runs
+    on the rows above tol, their systems solved as one batch; each row halves its
+    line-search step until its residual drops.
     """
-    def res(x, lam, v):  # x + lam * (x^3 - lap x) - v, in that operation order
+    def image(x, lam):  # x + lam * (x^3 - lap x), in that operation order
         out = x * x * x - lap_array(g, x)
         out *= lam
         out += x
-        out -= v
         return out
 
     w = (v if w0 is None else w0).copy()
-    r = res(w, lam, v)
+    tw = image(w, lam) if tw0 is None else tw0.copy()
+    r = tw - v
     norm = np.maximum.reduce(np.abs(r), -1)
     for it in range(max_iter + 1):
         # row bookkeeping in Python lists: at a few rows it beats array calls
         todo = [i for i, x in enumerate(norm.tolist()) if not x <= tol]  # NaN iterates, and fails
         if not todo:
-            return w
+            return w, tw
         if it == max_iter:
             raise SolverError(f"resolvent Newton stopped at residual {norm[todo[0]]:.3e} > "
                               f"{tol:.1e}", member=todo[0])
@@ -288,16 +291,17 @@ def _resolvent_raw(g: Grid, v: np.ndarray, lam: np.ndarray, tol: float,
                               member=todo[exc.row or 0]) from exc
         step, trial = 1.0, wa + delta
         while True:
-            tr = res(trial, la, va)
+            tr = (ti := image(trial, la)) - va
             tn = np.maximum.reduce(np.abs(tr), -1)
             better = tn < (norm if rows is None else norm[rows])
             if rows is None:
                 if all(better.tolist()):
-                    w, r, norm = trial, tr, tn
+                    w, tw, r, norm = trial, ti, tr, tn
                     break
                 rows = np.arange(len(w))
             done = rows[better]
-            w[done], r[done], norm[done] = trial[better], tr[better], tn[better]
+            w[done], tw[done] = trial[better], ti[better]
+            r[done], norm[done] = tr[better], tn[better]
             keep = ~better
             rows, wa, la, va, delta = rows[keep], wa[keep], la[keep], va[keep], delta[keep]
             if not len(rows):
@@ -313,7 +317,7 @@ def resolvent_jlambda(g: Grid, v: Field, lam: float) -> Field:
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     return Field(g, _resolvent_raw(g, v.values[None], np.full((1, g.n_nodes), lam),
-                                   SolverConfig.newton_tol, SolverConfig.newton_max_iter))
+                                   SolverConfig.newton_tol, SolverConfig.newton_max_iter)[0])
 
 
 def yosida_rhs(g: Grid, u: Field, p: ModelParams, lam: float) -> Field:
@@ -338,17 +342,17 @@ def run(g: Grid, u0, p: ModelParams, cfg):
     Returns one Trajectory, or a list with one per member.
 
     A member whose step moves no node (u_next == u bitwise) is at a fixed point:
-    a step depends on u alone (yosida's warm start then meets tol after zero
-    iterations), so every later step repeats it.  Such a member is no longer
-    stepped, its later rows are filled in as copies (t from times), and the
-    loop ends once no member moves.
+    every later step repeats it (yosida's carried resolvent image then gives the
+    residual its last solve accepted, so it meets tol after zero iterations).
+    Such a member is no longer stepped, its later rows are filled in as copies
+    (t from times), and the loop ends once no member moves.
 
     The eta column of the diagnostics always comes from the instantaneous
     state (eta = min(r, 0)), independent of the scheme; the implicit scheme
     additionally stores its step multipliers and their gap to that eta.
-    Diagnostics rows, rate norms and smallest increments are reduced a block
-    of recorded states at a time; a step only sums its squared increments,
-    for the finite and the fixed-point tests.
+    Diagnostics rows, rate norms and smallest increments (and yosida's residuals,
+    which its step never reads) are reduced a block of recorded states at a time;
+    a step only sums its squared increments, for the finite and fixed-point tests.
     """
     single = isinstance(u0, Field)
     members = [u0] if single else list(u0)
@@ -372,9 +376,10 @@ def run(g: Grid, u0, p: ModelParams, cfg):
     active = np.arange(n_members)  # the member of each row of u
     rows = slice(None)  # indexes the members' arrays by row of u: a view until a freeze
     frozen = {}  # member -> (first step it skipped, its state)
-    # each row's lambda and resolvent warm start
-    state = [np.array([np.full(g.n_nodes, c.yosida_lambda) for c in configs]), u] \
+    # each row's lambda, then the resolvent warm start and its image
+    state = [np.array([np.full(g.n_nodes, c.yosida_lambda) for c in configs]), u, None] \
         if cfg.scheme == "yosida" else []
+    step_reads_r = cfg.scheme != "yosida"  # else residuals are taken per flush block
     w_cell = g.cell_volume
 
     times = dt * np.arange(n_steps + 1)
@@ -388,11 +393,14 @@ def run(g: Grid, u0, p: ModelParams, cfg):
     multipliers = [[] for _ in members] if implicit else None
     eta_gap = np.zeros((n_members, n_steps + 1)) if implicit else None
     pending_eta_hat: np.ndarray | None = None
-    block = max(1, min(DIAG_BLOCK, _BLOCK_BYTES // u.nbytes))
-    # recorded states and their residuals, copied in until their rows are computed;
-    # slot j of states holds state flushed + j - 1, slot 0 the last one flushed
-    states = np.repeat(u[None], block + 1, axis=0)
-    resids = np.empty((block,) + u.shape)
+
+    def buffers(last: np.ndarray):  # sized to the moving rows, so re-made at a freeze
+        # recorded states and residuals, copied in until their rows are computed;
+        # slot j of states holds state flushed + j - 1, slot 0 the last one flushed
+        block = max(1, min(DIAG_BLOCK, _BLOCK_BYTES // last.nbytes))
+        return block, np.repeat(last[None], block + 1, axis=0), np.empty((block,) + last.shape)
+
+    block, states, resids = buffers(u)
     flushed = pending = 0  # states before `flushed` have their rows; `pending` more are buffered
 
     def flush():
@@ -400,7 +408,8 @@ def run(g: Grid, u0, p: ModelParams, cfg):
         if not pending:
             return
         stop = flushed + pending
-        uv, r = states[1:pending + 1], resids[:pending]
+        uv = states[1:pending + 1]
+        r = resids[:pending] if step_reads_r else residual_array(g, uv, p)
         values = _snapshot_values(g, uv, p, times[flushed:stop, None], r=r)
         diag[rows, flushed:stop] = values.swapaxes(0, 1)
         res_l2sq[rows, flushed:stop] = (w_cell * (r * r).sum(axis=-1)).T
@@ -449,13 +458,14 @@ def run(g: Grid, u0, p: ModelParams, cfg):
 
     stopped = None  # per row: its last step moved no node (None: some node moved in each)
     for k in range(n_steps + 1):
-        r = residual_array(g, u, p)
+        r = residual_array(g, u, p) if step_reads_r else None
         if pending_eta_hat is not None:
             eta_now = np.minimum(r, 0.0)
             eta_gap[rows, k] = np.sqrt(w_cell * np.sum((pending_eta_hat - eta_now) ** 2,
                                                        axis=-1))
             pending_eta_hat = None
-        resids[pending] = r  # record state k
+        if step_reads_r:  # record state k
+            resids[pending] = r
         pending += 1
         states[pending] = u
         if k % stride == 0 or k == n_steps:
@@ -468,12 +478,12 @@ def run(g: Grid, u0, p: ModelParams, cfg):
             flush()
             frozen.update((int(b), (k, row)) for b, row in zip(active[stopped], u[stopped]))
             moved = ~stopped
-            u, r, active = u[moved], r[moved], active[moved]
+            u, r, active = u[moved], r[moved] if step_reads_r else None, active[moved]
             state = [a[moved] for a in state]
             if not len(active):
                 break
             rows = active
-            states, resids = states[:, moved], resids[:, moved]
+            block, states, resids = buffers(u)  # u is state k, the last one flushed
         try:
             u_next, stats = step(u, r, state)
         except SolverError as exc:

@@ -370,6 +370,20 @@ def test_stacked_input_matches_row_by_row(dims):
         assert grad_sq[idx] == h1_grad_sq(g, v[idx])
 
 
+@pytest.mark.parametrize("shape", [(173, 3, 63), (43, 3, 127), (86, 3, 127), (1,), (2, 1)])
+def test_1d_gradient_sum_equals_the_edge_formula_bitwise(shape):
+    # the flush blocks of run(): edge differences a[0], a[j] - a[j-1], a[-1] per row,
+    # squared and summed along the row
+    g = make_grid(1, (-1, 1), shape[-1])
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3, shape)
+    d = np.empty(shape[:-1] + (shape[-1] + 1,))
+    d[..., 0], d[..., -1] = a[..., 0], a[..., -1]
+    np.subtract(a[..., 1:], a[..., :-1], out=d[..., 1:-1])
+    expected = g.cell_volume * ((d * d).sum(axis=-1) / (g.h[0] * g.h[0]))
+    assert np.asarray(h1_grad_sq(g, a)).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("dims", [(23, 17), (5, 1), (1, 5)])
 def test_2d_stencil_matches_kronecker_assembly(dims):
     # unequal spacings that are not powers of two; on a one-node-wide axis 1 every

@@ -255,6 +255,22 @@ class TestSolveShifted1D:
             solve_shifted(g, -2.0 / g.h[0] ** 2, np.ones(n))
 
 
+    @pytest.mark.parametrize("shape", [(1,), (31,), (3, 63)])
+    @pytest.mark.parametrize("fixed_kind", ["none", "random30"])
+    def test_operands_are_left_unmodified(self, shape, fixed_kind):
+        g = make_grid(1, (0, 1), shape[-1])
+        rng = np.random.default_rng(7)
+        d, rhs = 1.0 + rng.random(shape), rng.standard_normal(shape)
+        fixed = None if fixed_kind == "none" else rng.random(shape) < 0.3
+        before = [a.copy() for a in (d, rhs) + (() if fixed is None else (fixed,))]
+        for _ in range(2):  # a second solve sees the same operands and gives the same x
+            x = solve_shifted(g, d, rhs, fixed=fixed)
+            assert x.tobytes() == solve_shifted(g, before[0], before[1], fixed=fixed).tobytes()
+            for a, b in zip((d, rhs, fixed), before):
+                assert a.tobytes() == b.tobytes()
+            assert not np.shares_memory(x, rhs) and not np.shares_memory(x, d)
+
+
 class TestBatchedSolves:
     @pytest.mark.parametrize("n", [2, 31])
     @pytest.mark.parametrize("fixed_kind", ["none", "ends", "random30", "all"])
