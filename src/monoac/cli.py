@@ -30,7 +30,7 @@ from .config import (
 )
 from .grid import read_field_csv, write_field_csv
 from .model import ModelParams, energy_floor
-from .obstacle import KernelError, solve_equilibrium
+from .obstacle import EQUILIBRIUM_TOL, KernelError, solve_equilibrium
 from .spectral import EigenError, min_eig
 from .steppers import SolverError, run
 
@@ -170,7 +170,7 @@ def cmd_equilibrium(args, doc) -> int:
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"])
     u0 = parse_initial(doc["obstacle"], g, p)
-    tol = config.positive(doc.get("tol", 1e-6), "tol")
+    tol = config.positive(doc.get("tol", EQUILIBRIUM_TOL), "tol")
     kind, source = config.warm_start_source(doc["warm_start"])
     if kind == "run":
         source = parse_solver(source, g, p, config.default_stride(source, 10), "warm_start: run")

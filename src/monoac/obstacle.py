@@ -40,14 +40,11 @@ __all__ = [
 
 # semismooth Newton and PGS defaults, also SolverConfig's
 NEWTON_TOL, NEWTON_MAX_ITER, PGS_TOL, PGS_MAX_ITER = 1e-10, 50, 1e-11, 100_000
+EQUILIBRIUM_TOL = 1e-6  # solve_equilibrium's default, also `monoac equilibrium`'s
 
 
 class KernelError(RuntimeError):
-    """A constrained solve failed; carries the best iterate diagnostics."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A constrained solve failed."""
 
 
 @dataclass(frozen=True)
@@ -76,13 +73,9 @@ class ObstacleProblem:
         """Linear diagonal coefficient a - [kappa], before the stencil and cubic parts."""
         return self.a - (self.params.kappa if self.kappa_implicit else 0.0)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Operator value a*v - lap(v) + v^3 - [kappa*v]."""
-        return self.diag_shift() * v - lap_array(self.grid, v) + v * v * v
-
     def stationarity(self, v: np.ndarray) -> np.ndarray:
-        """G(v) = operator value minus the source."""
-        return self.apply(v) - self.b.values
+        """G(v) = a*v - lap(v) + v^3 - [kappa*v] - b."""
+        return self.diag_shift() * v - lap_array(self.grid, v) + v * v * v - self.b.values
 
 
 @dataclass(frozen=True)
@@ -111,11 +104,9 @@ def _cubic_root(c: float, q: np.ndarray) -> np.ndarray:
     return s
 
 
-def _clamped_multiplier(prob: ObstacleProblem, u: np.ndarray) -> np.ndarray:
-    """Multiplier supported on the exact contact set, projected onto eta <= 0."""
-    raw = -prob.stationarity(u)
-    contact = u <= prob.psi.values
-    return np.where(contact, np.minimum(raw, 0.0), 0.0)
+def _multiplier(resid: np.ndarray, contact: np.ndarray) -> np.ndarray:
+    """Multiplier -G supported on the contact set, projected onto eta <= 0."""
+    return np.where(contact, np.minimum(-resid, 0.0), 0.0)
 
 
 def solve_pgs(prob: ObstacleProblem, u_init: Field, tol: float = PGS_TOL,
@@ -150,7 +141,7 @@ def solve_pgs(prob: ObstacleProblem, u_init: Field, tol: float = PGS_TOL,
             u[idx] = new
         if max_change <= tol:
             break
-    eta = _clamped_multiplier(prob, u)
+    eta = _multiplier(prob.stationarity(u), u <= psi)
     return Field(g, u), Field(g, eta), sweeps
 
 
@@ -185,8 +176,7 @@ def solve_active_set(prob: ObstacleProblem, u_init: Field, tol: float = NEWTON_T
     while True:
         if (norm <= tol and float(np.max(-resid[active], initial=0.0)) <= max(tol, 1e-12)
                 and float(np.max(psi - u)) <= primal_tol):
-            eta = np.where(active, np.minimum(-resid, 0.0), 0.0)
-            return Field(g, np.maximum(u, psi)), Field(g, eta), adopted
+            return Field(g, np.maximum(u, psi)), Field(g, _multiplier(resid, active)), adopted
         guess = (resid + (psi - u)) > 0.0  # ties classified inactive
         key = hashlib.blake2b(guess.tobytes(), digest_size=8).digest()
         if key != current and (key not in solved or norm <= tol):
@@ -270,8 +260,7 @@ def brute_force_obstacle(prob: ObstacleProblem):
     if not ok.any():
         raise KernelError("no active set verifies KKT; nonconvex instance or tolerances too tight")
     i = np.argmax(ok)
-    eta = np.where(active[i], np.minimum(-resid[i], 0.0), 0.0)
-    return Field(g, np.maximum(u[i], psi)), Field(g, eta)
+    return Field(g, np.maximum(u[i], psi)), Field(g, _multiplier(resid[i], active[i]))
 
 
 def complementarity_report(prob: ObstacleProblem, u: Field,
@@ -290,7 +279,7 @@ def complementarity_report(prob: ObstacleProblem, u: Field,
 
 
 def solve_equilibrium(g: Grid, u0: Field, p: ModelParams, warm_start: Field,
-                      tol: float = 1e-8):
+                      tol: float = EQUILIBRIUM_TOL):
     """Polish a near-stationary state into a solution of the stationary system.
 
     The stationary problem keeps the initial datum as the obstacle and has no
@@ -306,7 +295,7 @@ def solve_equilibrium(g: Grid, u0: Field, p: ModelParams, warm_start: Field,
     prob = ObstacleProblem(grid=g, psi=u0, a=0.0, b=Field(g, np.zeros(g.n_nodes)),
                            kappa_implicit=True, params=p)
     w = np.maximum(warm_start.values, u0.values)
-    eta0 = Field(g, _clamped_multiplier(prob, w))
+    eta0 = Field(g, _multiplier(prob.stationarity(w), w <= u0.values))
     candidate = Field(g, w)
     report = complementarity_report(prob, candidate, eta0)
     if report.max_entry() <= tol:
@@ -320,6 +309,5 @@ def solve_equilibrium(g: Grid, u0: Field, p: ModelParams, warm_start: Field,
     report = complementarity_report(prob, u, eta)
     if report.max_entry() > tol:
         raise KernelError(f"equilibrium polish stalled at residual {report.max_entry():.3e} > "
-                          f"{tol:.1e}; advance the trajectory further before polishing",
-                          report=report)
+                          f"{tol:.1e}; advance the trajectory further before polishing")
     return u, eta, report

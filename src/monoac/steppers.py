@@ -57,10 +57,9 @@ _FAST_FORWARD = True  # run() skips fixed points; off only to test the rows it f
 class SolverError(RuntimeError):
     """An inner solve failed; carries the partial trajectory and the failing row when known."""
 
-    def __init__(self, message, trajectory=None, report=None, member=None):
+    def __init__(self, message, trajectory=None, member=None):
         super().__init__(message)
         self.trajectory = trajectory
-        self.report = report
         self.member = member
 
 
@@ -128,7 +127,9 @@ class Trajectory:
     SNAPSHOT_COLUMNS; the remaining arrays are auxiliary series used by the
     verification checks: per recorded time the full squared residual norm and
     the distance to the initial obstacle, per step the rate norm, the smallest
-    increment and the inner iteration count.
+    increment and the inner iteration count (and implicit's multiplier gap).
+    Implicit runs keep multipliers[j], the multiplier of the step into
+    snapshot_times[j + 1].
     """
 
     grid: Grid
@@ -170,22 +171,30 @@ def snapshot_index(snapshot_times, t: float) -> int:
     return idx
 
 
-def _raw_step(g: Grid, p: ModelParams, cfg: SolverConfig):
-    """cfg's scheme as one step of a (B, n) array of states: step(u, r, state) -> (u_next, stats).
+def _raw_step(g: Grid, p: ModelParams, configs: list[SolverConfig]):
+    """The scheme of configs, one per row, as one step of a (B, n) array of states.
 
-    r is the residual of u; state lists the per-row arrays carried between steps
-    (yosida's lambdas, resolvent warm start and its image, which each step replaces).  stats
-    are yosida's rates, implicit's multipliers and inner iterations per row, or
-    None.  A SolverError names its row as ``member``.
+    Validates every config and returns (step, state): step(u, r, state) ->
+    (u_next, stats), and the state carried into the first step.  r is the
+    residual of u, which only explicit reads (None for the others); state lists
+    the per-row arrays carried between steps: yosida's lambdas, then its
+    resolvent warm start and that start's image, None until the first step
+    replaces them.  stats are yosida's rates, implicit's multipliers and inner
+    iterations per row, or None.  A SolverError names its row as ``member``.
     """
-    cfg.validate(g, p)  # dt positive, finite and, for explicit and yosida, stable
+    for c in configs:
+        c.validate(g, p)  # dt positive, finite and, for explicit and yosida, stable
+    cfg = configs[0]
     dt = cfg.dt
+    state = []
     if cfg.scheme == "explicit":
         def step(u, r, state):
             rate = np.maximum(r, 0.0)
             return np.add(np.multiply(rate, dt, out=rate), u, out=rate), None
     elif cfg.scheme == "yosida":
-        def step(u, r, state):  # r unread: run() takes yosida's residuals per flush block
+        state = [np.array([np.full(g.n_nodes, c.yosida_lambda) for c in configs]), None, None]
+
+        def step(u, r, state):
             lam = state[0]
             state[1:] = _resolvent_raw(g, u, lam, cfg.newton_tol, cfg.newton_max_iter, *state[1:])
             # (u - w)/lam equals -lap(w) + w^3 exactly at the solve, but this form
@@ -203,15 +212,14 @@ def _raw_step(g: Grid, p: ModelParams, cfg: SolverConfig):
                     raise
             u_next, etas, iters = zip(*done)
             return np.array(u_next), (etas, iters)
-    return step
+    return step, state
 
 
 def _step_once(g: Grid, u: Field, p: ModelParams, scheme: str, dt: float, **options):
     """(u_next, stats) of the raw step of a scheme from the single state u."""
-    cfg = SolverConfig(scheme, dt, dt, **options)
+    step, state = _raw_step(g, p, [SolverConfig(scheme, dt, dt, **options)])
     v = u.values[None]
-    state = [np.full(v.shape, cfg.yosida_lambda), None, None] if scheme == "yosida" else []
-    return _raw_step(g, p, cfg)(v, None if scheme == "yosida" else residual_array(g, v, p), state)
+    return step(v, residual_array(g, v, p) if scheme == "explicit" else None, state)
 
 
 def step_explicit(g: Grid, u: Field, p: ModelParams, dt: float) -> Field:
@@ -232,10 +240,8 @@ def _implicit_step(g, u_prev: np.ndarray, p, cfg: SolverConfig):
         raise SolverError(f"implicit step failed: {exc}") from exc
     report = complementarity_report(prob, u_next, eta_hat)
     if report.max_entry() > 1e3 * max(cfg.newton_tol, cfg.pgs_tol):
-        raise SolverError(
-            f"implicit step stalled after {iters} sweeps at residual "
-            f"{report.max_entry():.3e}", report=report,
-        )
+        raise SolverError(f"implicit step stalled after {iters} sweeps at residual "
+                          f"{report.max_entry():.3e}")
     return u_next.values, eta_hat, iters
 
 
@@ -349,10 +355,12 @@ def run(g: Grid, u0, p: ModelParams, cfg):
 
     The eta column of the diagnostics always comes from the instantaneous
     state (eta = min(r, 0)), independent of the scheme; the implicit scheme
-    additionally stores its step multipliers and their gap to that eta.
-    Diagnostics rows, rate norms and smallest increments (and yosida's residuals,
-    which its step never reads) are reduced a block of recorded states at a time;
-    a step only sums its squared increments, for the finite and fixed-point tests.
+    additionally records its step multipliers' gap to that eta every step, and
+    keeps the multiplier of the step into each stored snapshot after the first.
+    Diagnostics rows, rate norms, smallest increments and multiplier gaps are
+    reduced a block of recorded states at a time, with the residuals taken per
+    block for every scheme but explicit, whose step reads them; a step only
+    sums its squared increments, for the finite and fixed-point tests.
     """
     single = isinstance(u0, Field)
     members = [u0] if single else list(u0)
@@ -366,20 +374,14 @@ def run(g: Grid, u0, p: ModelParams, cfg):
             replace(c, yosida_lambda=cfg.yosida_lambda) != cfg for c in configs):
         raise ValueError("give one solver config, or one per member differing in "
                          "yosida_lambda only")
-    for c in configs[1:]:
-        c.validate(g, p)
-    step = _raw_step(g, p, cfg)  # validates cfg
+    step, state = _raw_step(g, p, configs)
     n_steps, dt, stride = cfg.n_steps(), cfg.dt, cfg.snapshot_stride
-    implicit = cfg.scheme == "implicit_obstacle"
+    explicit, implicit = cfg.scheme == "explicit", cfg.scheme == "implicit_obstacle"
     n_members = len(members)
     u = init = np.stack([m.values for m in members])  # the moving members' states, one row each
     active = np.arange(n_members)  # the member of each row of u
     rows = slice(None)  # indexes the members' arrays by row of u: a view until a freeze
     frozen = {}  # member -> (first step it skipped, its state)
-    # each row's lambda, then the resolvent warm start and its image
-    state = [np.array([np.full(g.n_nodes, c.yosida_lambda) for c in configs]), u, None] \
-        if cfg.scheme == "yosida" else []
-    step_reads_r = cfg.scheme != "yosida"  # else residuals are taken per flush block
     w_cell = g.cell_volume
 
     times = dt * np.arange(n_steps + 1)
@@ -391,16 +393,18 @@ def run(g: Grid, u0, p: ModelParams, cfg):
     snapshots: list[list[Field]] = [[] for _ in members]
     snap_times: list[float] = []
     multipliers = [[] for _ in members] if implicit else None
+    last_eta = {}  # implicit: member -> the multiplier of its last step, kept while frozen
     eta_gap = np.zeros((n_members, n_steps + 1)) if implicit else None
-    pending_eta_hat: np.ndarray | None = None
 
     def buffers(last: np.ndarray):  # sized to the moving rows, so re-made at a freeze
-        # recorded states and residuals, copied in until their rows are computed;
-        # slot j of states holds state flushed + j - 1, slot 0 the last one flushed
+        # recorded states, copied in until their rows are computed; slot j of states
+        # holds state flushed + j - 1, slot 0 the last one flushed.  Slot j of aux holds
+        # state flushed + j's residual (explicit) or the multipliers of the step into it
+        # (implicit; zero for state 0, which no step leads to)
         block = max(1, min(DIAG_BLOCK, _BLOCK_BYTES // last.nbytes))
-        return block, np.repeat(last[None], block + 1, axis=0), np.empty((block,) + last.shape)
+        return block, np.repeat(last[None], block + 1, axis=0), np.zeros((block,) + last.shape)
 
-    block, states, resids = buffers(u)
+    block, states, aux = buffers(u)
     flushed = pending = 0  # states before `flushed` have their rows; `pending` more are buffered
 
     def flush():
@@ -409,11 +413,14 @@ def run(g: Grid, u0, p: ModelParams, cfg):
             return
         stop = flushed + pending
         uv = states[1:pending + 1]
-        r = resids[:pending] if step_reads_r else residual_array(g, uv, p)
+        r = aux[:pending] if explicit else residual_array(g, uv, p)
         values = _snapshot_values(g, uv, p, times[flushed:stop, None], r=r)
         diag[rows, flushed:stop] = values.swapaxes(0, 1)
         res_l2sq[rows, flushed:stop] = (w_cell * (r * r).sum(axis=-1)).T
         gap_min[rows, flushed:stop] = (uv - init[rows]).min(axis=-1).T
+        if implicit:
+            eta_gap[rows, flushed:stop] = np.sqrt(
+                w_cell * np.sum((aux[:pending] - np.minimum(r, 0.0)) ** 2, axis=-1)).T
         delta = states[1:pending + 1] - states[:pending]  # the steps into the buffered states
         min_inc[rows, flushed:stop] = delta.min(axis=-1).T
         np.multiply(delta, delta, out=delta)
@@ -427,6 +434,8 @@ def run(g: Grid, u0, p: ModelParams, cfg):
             snapshots[b].append(Field(g, uv[i].copy()))
         for b, (_, row) in frozen.items():
             snapshots[b].append(Field(g, row.copy()))
+        for b, eta in last_eta.items():  # the step into state k (none into state 0): shared
+            multipliers[b].append(eta)
         snap_times.append(float(times[k]))
 
     def trajectory(b: int, k: int, failure: dict | None = None) -> Trajectory:
@@ -435,8 +444,6 @@ def run(g: Grid, u0, p: ModelParams, cfg):
             for a in [diag, res_l2sq, gap_min, du_dt_l2, min_inc, inner] + [eta_gap] * implicit:
                 a[b, f + 1:k + 1] = a[b, f]
             diag[b, f + 1:k + 1, SNAPSHOT_COLUMNS.index("t")] = times[f + 1:k + 1]
-            if multipliers is not None:
-                multipliers[b] += [multipliers[b][-1]] * (k - len(multipliers[b]))
         return Trajectory(
             grid=g, params=p, config=configs[b], u0=members[b],
             times=times[: k + 1], diag=diag[b, : k + 1],
@@ -449,23 +456,18 @@ def run(g: Grid, u0, p: ModelParams, cfg):
             failure=failure,
         )
 
-    def fail(b: int, k: int, message: str, detail: str, report=None) -> SolverError:
+    def fail(b: int, k: int, message: str, detail: str) -> SolverError:
         flush()
         if n_members > 1:
             message = f"member {b}: {message}"
         partial = trajectory(b, k, {"step": k, "message": detail})
-        return SolverError(message, trajectory=partial, report=report)
+        return SolverError(message, trajectory=partial)
 
+    r = None  # the residual of u, which only the explicit step reads
     stopped = None  # per row: its last step moved no node (None: some node moved in each)
     for k in range(n_steps + 1):
-        r = residual_array(g, u, p) if step_reads_r else None
-        if pending_eta_hat is not None:
-            eta_now = np.minimum(r, 0.0)
-            eta_gap[rows, k] = np.sqrt(w_cell * np.sum((pending_eta_hat - eta_now) ** 2,
-                                                       axis=-1))
-            pending_eta_hat = None
-        if step_reads_r:  # record state k
-            resids[pending] = r
+        if explicit:  # record state k
+            r = aux[pending] = residual_array(g, u, p)
         pending += 1
         states[pending] = u
         if k % stride == 0 or k == n_steps:
@@ -478,22 +480,21 @@ def run(g: Grid, u0, p: ModelParams, cfg):
             flush()
             frozen.update((int(b), (k, row)) for b, row in zip(active[stopped], u[stopped]))
             moved = ~stopped
-            u, r, active = u[moved], r[moved] if step_reads_r else None, active[moved]
+            u, r, active = u[moved], r[moved] if explicit else None, active[moved]
             state = [a[moved] for a in state]
             if not len(active):
                 break
             rows = active
-            block, states, resids = buffers(u)  # u is state k, the last one flushed
+            block, states, aux = buffers(u)  # u is state k, the last one flushed
         try:
             u_next, stats = step(u, r, state)
         except SolverError as exc:
             b = int(active[exc.member or 0])
-            raise fail(b, k, str(exc), str(exc), report=exc.report) from exc
-        if implicit:  # the rows' multipliers and inner iterations
+            raise fail(b, k, str(exc), str(exc)) from exc
+        if implicit:  # the rows' multipliers, recorded with state k + 1, and inner iterations
             etas, inner[rows, k + 1] = stats
-            for b, eta in zip(active, etas):
-                multipliers[b].append(eta)
-            pending_eta_hat = np.stack([eta.values for eta in etas])
+            aux[pending] = [eta.values for eta in etas]
+            last_eta.update(zip(active.tolist(), etas))
         # Sigma delta^2 per row is the one per-step reduction; the rate norm and the
         # smallest increment are computed at flush from the buffered states
         delta = u_next - u

@@ -448,7 +448,7 @@ def assert_bitwise(a, b):
         same(sa.values, sb.values)
     assert (a.multipliers is None) == (b.multipliers is None)
     if a.multipliers is not None:
-        assert len(a.multipliers) == len(b.multipliers) == a.n_steps()
+        assert len(a.multipliers) == len(b.multipliers) == len(a.snapshots) - 1
         for ma, mb in zip(a.multipliers, b.multipliers):
             same(ma.values, mb.values)
     assert a.failure == b.failure
@@ -749,11 +749,13 @@ class TestFastForward:
             return r
 
         def failing_implicit(grid, u_prev, *args, **kwargs):
-            if len(states) == 11 and np.any(u_prev != 0.0):
-                raise SolverError("implicit step failed: forced")
+            if np.any(u_prev != 0.0):  # the moving member's steps
+                states.append(None)
+                if len(states) == 11:  # its step 10
+                    raise SolverError("implicit step failed: forced")
             return real_implicit(grid, u_prev, *args, **kwargs)
 
-        if scheme != "yosida":
+        if scheme == "explicit":
             monkeypatch.setattr(steppers, "residual_array", counting_residual)
         monkeypatch.setattr(steppers, "_implicit_step", failing_implicit)
         partials = []
@@ -912,6 +914,42 @@ class TestFlushPath:
         for name in ("du_dt_l2", "step_min_increment", "inner_iterations"):
             assert getattr(partial, name).tobytes() == getattr(reference, name)[:10].tobytes()
         assert partial.snapshot_times.tolist() == reference.snapshot_times[:2].tolist()
+
+    def test_implicit_residuals_are_taken_per_flush_block(self, monkeypatch):
+        g = make_grid(1, (-1, 1), 31)
+        residuals, flushes = [], []
+        counting(monkeypatch, steppers, "residual_array", residuals)
+        counting(monkeypatch, steppers, "_snapshot_values", flushes)
+        monkeypatch.setattr(steppers, "DIAG_BLOCK", 8)  # 31 states: 4 blocks
+        traj = run(g, bump_on(g), P1, scheme_config(g, "implicit_obstacle", n_steps=30))
+        assert np.all(traj.du_dt_l2 > 0.0)  # no freeze adds a flush
+        assert len(flushes) == 4
+        assert len(residuals) == len(flushes)
+
+    def test_implicit_multipliers_on_the_stride(self):
+        # multipliers[j] is the multiplier of the step into snapshot j + 1
+        g = make_grid(1, (-1, 1), 31)
+        members = [make_initial("zero", g, P1)] + ensemble_members(g)  # zero freezes at step 1
+        strided = run(g, members, P1, scheme_config(g, "implicit_obstacle", n_steps=30, stride=7))
+        every = run(g, members, P1, scheme_config(g, "implicit_obstacle", n_steps=30, stride=1))
+        steps = [7, 14, 21, 28, 30]
+        for a, b in zip(strided, every):
+            np.testing.assert_array_equal(a.snapshot_times[1:], b.times[steps])
+            assert len(a.multipliers) == len(a.snapshots) - 1
+            for k, eta in zip(steps, a.multipliers, strict=True):
+                assert eta.values.tobytes() == b.multipliers[k - 1].values.tobytes()
+        frozen = strided[0].multipliers  # shared by every snapshot after the freeze, not copied
+        assert all(eta is frozen[0] for eta in frozen)
+
+    def test_implicit_gap_is_each_step_multiplier_against_its_state(self):
+        g = make_grid(1, (-1, 1), 31)
+        members = [make_initial("zero", g, P1)] + ensemble_members(g)
+        for traj in run(g, members, P1, scheme_config(g, "implicit_obstacle", n_steps=30,
+                                                      stride=1)):
+            for k, eta in enumerate(traj.multipliers):
+                eta_now = np.minimum(residual_array(g, traj.snapshots[k + 1].values, P1), 0.0)
+                gap = np.sqrt(g.cell_volume * np.sum((eta.values - eta_now) ** 2))
+                assert traj.eta_hat_gap_l2[k] == gap
 
 
 def test_family_run_flushes_at_most_80_times_per_6144_steps(monkeypatch):
