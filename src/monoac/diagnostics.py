@@ -14,6 +14,7 @@ import numpy as np
 
 from .grid import Field, h1_grad_sq, lap_array, norm_lp
 from .model import ModelParams
+from .obstacle import EQUILIBRIUM_TOL
 from .steppers import SolverConfig, Trajectory, run
 
 __all__ = [
@@ -224,7 +225,7 @@ def fit_decay_rate(traj: Trajectory, t_start: float, t_end: float | None = None,
 
 
 def check_equilibrium(traj: Trajectory, eq: Field, report,
-                      res_tol: float = 1e-6) -> CheckReport:
+                      res_tol: float = EQUILIBRIUM_TOL) -> CheckReport:
     """Final state sits on the polished stationary solution (to 1e-5), residuals certified."""
     dist_tol = 1e-5
     dist = float(np.max(np.abs(traj.final_state().values - eq.values)))

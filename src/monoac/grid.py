@@ -108,7 +108,8 @@ class Grid:
     @cached_property
     def csv_row_prefixes(self) -> list[str]:
         """Coordinate columns of each field CSV row, trailing comma included."""
-        return [",".join(row) + "," for row in zip(*map(repr_floats, self.coords()))]
+        xs, *ys = (repr_floats(self.axis_coords(a)) for a in range(self.dim))  # "ij" order
+        return [f"{x},{y}," for x in xs for y in ys[0]] if ys else [x + "," for x in xs]
 
     @property
     def volume(self) -> float:
@@ -124,8 +125,6 @@ class Grid:
     def coords(self) -> list[np.ndarray]:
         """Per-axis coordinate arrays broadcast over the interior shape."""
         axes = [self.axis_coords(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return axes
         return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
 
 

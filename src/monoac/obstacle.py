@@ -16,7 +16,6 @@ usable as an oracle on tiny problems.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import asdict, dataclass
 
@@ -170,7 +169,7 @@ def solve_active_set(prob: ObstacleProblem, u_init: Field, tol: float = NEWTON_T
     u = np.maximum(u_init.values, psi)
     resid = prob.stationarity(u)
     primal_tol = 1e-13 * (1.0 + float(np.max(np.abs(psi))))
-    solved = {}  # 8-byte digest of each adopted set -> its inner problem reached tol
+    solved = {}  # each adopted set, packed to n/8 bytes -> its inner problem reached tol
     current, norm = None, np.inf  # norm: stationarity off the current set
     adopted = newton_steps = 0
     while True:
@@ -178,7 +177,7 @@ def solve_active_set(prob: ObstacleProblem, u_init: Field, tol: float = NEWTON_T
                 and float(np.max(psi - u)) <= primal_tol):
             return Field(g, np.maximum(u, psi)), Field(g, _multiplier(resid, active)), adopted
         guess = (resid + (psi - u)) > 0.0  # ties classified inactive
-        key = hashlib.blake2b(guess.tobytes(), digest_size=8).digest()
+        key = np.packbits(guess).tobytes()
         if key != current and (key not in solved or norm <= tol):
             if solved.get(key) or adopted == budget:
                 break  # a solved set guessed again (cycling), or the set budget spent

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -16,6 +17,15 @@ from monoac.presets import make_initial
 from monoac.runio import load_state_field, read_trajectory, write_trajectory
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def run_python(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports monoac from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -862,12 +872,31 @@ def test_load_state_field_picks_the_stored_snapshot(tmp_path):
             load_state_field(out, t=t)
 
 
+def test_only_verify_loads_openssl(tmp_path):
+    # hashlib's OpenSSL backend costs every process memory and start-up time, and
+    # only verify's manifest hash needs it
+    run_doc = refusal_doc("run", tmp_path)
+    family_doc = refusal_doc("family", tmp_path)
+    family_doc["solver"] = {"scheme": "explicit", "dt": 0.005, "t_end": 0.5}
+    family_doc["outputs"] = {"directory": str(tmp_path / "family")}
+    run_cfg = write_config(tmp_path, run_doc)
+    family_cfg = write_config(tmp_path, family_doc, "f.json")
+    verify_cfg = write_config(tmp_path, {"trajectory": str(tmp_path / "out")}, "v.json")
+    run_python(f"""
+import sys
+before = "_hashlib" in sys.modules
+from monoac.cli import main
+assert main(["run", "--config", {run_cfg!r}, "--quiet"]) == 0
+assert main(["sweep", "--config", {family_cfg!r}, "--quiet"]) == 0
+assert before or "_hashlib" not in sys.modules, "monoac loaded _hashlib"
+assert main(["verify", "--config", {verify_cfg!r}, "--quiet"]) == 0
+""", cwd=tmp_path)
+    manifest = (tmp_path / "out" / "manifest.json").read_bytes()
+    report = json.loads((tmp_path / "out" / "verification.json").read_text())
+    assert report["manifest_sha256"] == hashlib.sha256(manifest).hexdigest()
+
+
 def test_perfbench_tracer_installs():
     # the benchmark's tracer wraps package names by attribute; a rename breaks it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")])
-    code = ("import sys; sys.path.insert(0, 'perfbench'); import tracer; "
-            "tracer.install(tracer.Tracer())")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_python("import sys; sys.path.insert(0, 'perfbench'); import tracer; "
+               "tracer.install(tracer.Tracer())", cwd=REPO)
