@@ -1,6 +1,7 @@
 """Linear solves for shifted Laplacian systems (diag(d) - lap) x = rhs.
 
-1D systems are tridiagonal and solved directly by LAPACK dgtsv.
+1D systems are tridiagonal and symmetric positive definite, solved directly by
+LAPACK's LDL^T pair dpttrf + dpttrs (Golub and Van Loan, Matrix Computations 4.3).
 2D systems are solved by matrix-free conjugate gradients preconditioned with
 the exact inverse of -lap + c, c the mean of d over the free nodes (clamped at
 0) (the fast Poisson solver of Buzbee, Golub and Nielson 1970, used as a
@@ -12,7 +13,7 @@ of all those systems at once, and a second product, with no FFT.  Nodes marked
 in ``fixed`` are held at zero (identity rows), which is how active-set solvers
 freeze contact nodes; the iteration runs on the free nodes only.
 
-dgtsv, dpttrf and dpttrs are scipy's f2py wrappers, loaded from scipy/linalg/_flapack
+dpttrf and dpttrs are scipy's f2py wrappers, loaded from scipy/linalg/_flapack
 without scipy.linalg's package init: ``import monoac.cli`` about 540 -> 220 ms.
 """
 
@@ -29,17 +30,17 @@ from .grid import Grid, lap_array
 
 
 def _load_flapack(directory: Path):
-    """dgtsv, dpttrf and dpttrs of scipy.linalg._flapack in ``directory``; imports no scipy package."""
+    """dpttrf and dpttrs of scipy.linalg._flapack in ``directory``; imports no scipy package."""
     path = directory / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
     if not path.is_file():
         raise ImportError(f"scipy's LAPACK extension _flapack is not in {directory}")
     loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", str(path))
     module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
     loader.exec_module(module)
-    return module.dgtsv, module.dpttrf, module.dpttrs
+    return module.dpttrf, module.dpttrs
 
 
-dgtsv, dpttrf, dpttrs = _load_flapack(Path(importlib.util.find_spec("scipy").origin).parent / "linalg")
+dpttrf, dpttrs = _load_flapack(Path(importlib.util.find_spec("scipy").origin).parent / "linalg")
 
 
 class LinearSolveError(RuntimeError):
@@ -85,34 +86,33 @@ def _off_diagonal(n: int, size: int, h: float) -> np.ndarray:
     return off
 
 
+def _factor(main: np.ndarray, n: int, h: float, cut: np.ndarray | None = None):
+    """dpttrf of main (overwritten) and -1/h^2 in systems of n, 0 at cut; raises on a pivot <= 0."""
+    off = _off_diagonal(n, max(main.size, 2), h)  # dpttrf wants one entry at size 1
+    if cut is not None:
+        off = off.copy()
+        off[cut] = 0.0
+    d, e, info = dpttrf(main, off, overwrite_d=1)
+    if info != 0:  # info > 0: the 1-based index of the first pivot <= 0, not positive definite
+        raise LinearSolveError(f"tridiagonal solve failed (LAPACK dpttrf info={info})",
+                               row=(info - 1) // n if info > 0 else None)
+    return d, e
+
+
 def _solve_banded_1d(g: Grid, diag, rhs: np.ndarray,
                      fixed: np.ndarray | None) -> np.ndarray:
-    # d is diag's one copy; dgtsv copies the others unless fixed nodes change them first.
     # A batch is one block-diagonal system: no coupling crosses rows, so each solves alone
-    n = g.n_nodes
     d = np.add(diag, 2.0 * (1.0 / (g.h[0] * g.h[0])), out=np.empty(rhs.shape)).reshape(-1)
-    size = d.size
-    dl = du = _off_diagonal(n, size, g.h[0])
-    b = rhs.reshape(-1)
-    own = fixed is not None and bool(fixed.any())
-    if own:
+    b = rhs.reshape(-1)  # dpttrs solves in a copy
+    cut = None
+    if fixed is not None and fixed.any():
         idx = np.flatnonzero(fixed)
-        dl, du, b = dl.copy(), du.copy(), b.copy()
+        b = b.copy()
         d[idx] = 1.0
         b[idx] = 0.0
-        # identity rows: cut every coupling into and out of a fixed node
-        # (the fixed value is 0, so the column cut only tidies the matrix)
-        cut = np.concatenate((idx[idx > 0] - 1, idx[idx < size - 1]))
-        dl[cut] = 0.0
-        du[cut] = 0.0
-    if size == 1:  # dgtsv wants at least one off-diagonal entry
-        if d[0] == 0.0:
-            raise LinearSolveError("tridiagonal solve failed: singular 1x1 system", row=0)
-        return (b / d).reshape(rhs.shape)
-    _, _, _, x, info = dgtsv(dl, d, du, b, own, 1, own, own)  # overwrite_dl, _d, _du, _b
-    if info != 0:  # info > 0: the 1-based index of a zero pivot
-        raise LinearSolveError(f"tridiagonal solve failed (LAPACK dgtsv info={info})",
-                               row=(info - 1) // n if info > 0 else None)
+        # identity rows and columns: cut every coupling into and out of a fixed node
+        cut = np.concatenate((idx[idx > 0] - 1, idx[idx < d.size - 1]))
+    x, _ = dpttrs(*_factor(d, g.n_nodes, g.h[0], cut), b)
     return x.reshape(rhs.shape)
 
 
@@ -143,11 +143,10 @@ def _solve_cg(g: Grid, d: np.ndarray, rhs: np.ndarray, fixed: np.ndarray | None,
     c = max(float(np.mean(d if fixed is None else d[~fixed])), 0.0)
     d = d if fixed is None else np.where(fixed, 0.0, d)  # no inf * 0 on a fixed node
     # per axis-0 mode k, (lambda_k + c) I - lap_1 along axis 1; the blocks are uncoupled
-    n0, n1 = g.shape
+    n1 = g.shape[1]
     s0 = g.sine_basis[0]
     main = np.repeat(g.axis_eigenvalues[0] + (c + 2.0 * (1.0 / (g.h[1] * g.h[1]))), n1)
-    # dpttrf copies the cached off-diagonal; it wants one entry at n0 * n1 == 1
-    main, off, _ = dpttrf(main, _off_diagonal(n1, max(n0 * n1, 2), g.h[1]), overwrite_d=1)
+    main, off = _factor(main, n1, g.h[1])
 
     def matvec(v):
         # v is a search direction: zero on the fixed nodes, as every z is

@@ -323,7 +323,7 @@ def resolvent_jlambda(g: Grid, v: Field, lam: float) -> Field:
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     return Field(g, _resolvent_raw(g, v.values[None], np.full((1, g.n_nodes), lam),
-                                   SolverConfig.newton_tol, SolverConfig.newton_max_iter)[0])
+                                   NEWTON_TOL, NEWTON_MAX_ITER)[0])
 
 
 def yosida_rhs(g: Grid, u: Field, p: ModelParams, lam: float) -> Field:

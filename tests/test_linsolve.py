@@ -204,8 +204,8 @@ class TestLapackLoader:
             f"import {first}\nimport {second}\n"
             "from monoac import _linsolve\nfrom scipy.linalg import lapack\n"
             "print([getattr(_linsolve, f) is getattr(lapack, f)"
-            " for f in ('dgtsv', 'dpttrf', 'dpttrs')])\n")
-        assert proc.stdout.strip() == "[True, True, True]"
+            " for f in ('dpttrf', 'dpttrs')])\n")
+        assert proc.stdout.strip() == "[True, True]"
 
     def test_missing_extension_raises_naming_the_directory(self, tmp_path):
         # scipy located at an empty directory: the import fails there, and no
@@ -304,6 +304,18 @@ class TestBatchedSolves:
         with pytest.raises(LinearSolveError) as info:
             solve_shifted(g, d, np.ones((3, g.n_nodes)))
         assert info.value.row == 1
+
+    def test_indefinite_nonsingular_row_raises_naming_it(self):
+        # every system the steppers build is positive definite; one that is not is
+        # refused (PDAS then falls back to PGS) even where pivoting could solve it
+        g = make_grid(1, (0, 1), 3)
+        d = np.ones((4, 3))
+        d[2] = -1.5 / g.h[0] ** 2  # pivots 0.5/h^2, then -1.5/h^2
+        eig = np.linalg.eigvalsh(assembled_operator(g, d[2]).toarray())
+        assert eig.min() < 0.0 < eig.max() and np.min(np.abs(eig)) > 0.1 / g.h[0] ** 2
+        with pytest.raises(LinearSolveError, match="dpttrf info=8") as info:
+            solve_shifted(g, d, np.ones((4, 3)))
+        assert info.value.row == 2
 
 
 class TestSolveShifted2DFailures:

@@ -246,6 +246,18 @@ class TestSemismoothLoop:
                                     snapshot_stride=50))
         assert calls
 
+    def test_equilibrium_polish_off_kkt_needs_no_pgs(self, monkeypatch, no_pgs):
+        # the a = 0 polish solves -kappa + 3u^2 - lap on its free nodes, which need not be
+        # definite; here it is, so the LDL^T solve takes every system and nothing falls back
+        g = make_grid(1, (-1, 1), 63)
+        u0 = make_initial("neg_const", g, P1)
+        traj = run(g, u0, P1, SolverConfig(scheme="implicit_obstacle", dt=0.05, t_end=5.0,
+                                           snapshot_stride=100))
+        calls = self.capped_solves(monkeypatch, 200)
+        _, _, rep = solve_equilibrium(g, u0, P1, traj.final_state(), tol=1e-8)
+        assert calls
+        assert rep.max_entry() <= 1e-8
+
     def test_one_newton_step_per_set_reaches_the_fallback(self, monkeypatch):
         from monoac import obstacle
 
