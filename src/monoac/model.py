@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, h1_grad_sq, lap_array, norm_lp
+from .grid import Field, Grid, _check_on_grid, h1_grad_sq, lap_array, norm_lp
 
 __all__ = [
     "ModelParams",
@@ -67,8 +67,7 @@ def residual_array(g: Grid, v: np.ndarray, p: ModelParams) -> np.ndarray:
 
 def residual(g: Grid, u: Field, p: ModelParams) -> Field:
     """Unconstrained right-hand side r = lap(u) - u^3 + kappa*u."""
-    if u.grid != g:
-        raise ValueError("field is not defined on the given grid")
+    _check_on_grid(g, u)
     return Field(g, residual_array(g, u.values, p))
 
 

@@ -177,5 +177,5 @@ def load_state_field(outdir, t: float | None = None) -> Field:
     """
     manifest = _read_manifest(outdir)
     entries = manifest["snapshots"]
-    idx = -1 if t is None else snapshot_index([t for _, t in entries], t)
+    idx = -1 if t is None else snapshot_index([time for _, time in entries], t)
     return read_field_csv(entries[idx][0], grid=manifest["grid"])

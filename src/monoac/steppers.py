@@ -16,7 +16,7 @@ snapshots on a stride.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,12 +89,10 @@ class SolverConfig:
         for name in ("dt", "t_end", "yosida_lambda", "newton_tol", "pgs_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        for name in ("newton_max_iter", "pgs_max_iter"):
+        for name in ("newton_max_iter", "pgs_max_iter", "snapshot_stride"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
         if self.scheme in ("explicit", "yosida"):
             limit = cfl_limit(g)
             if self.dt > limit * (1.0 + 1e-12):
@@ -128,8 +126,10 @@ class Trajectory:
     verification checks: per recorded time the full squared residual norm and
     the distance to the initial obstacle, per step the rate norm, the smallest
     increment and the inner iteration count (and implicit's multiplier gap).
-    Implicit runs keep multipliers[j], the multiplier of the step into
-    snapshot_times[j + 1].
+    snapshots[j] is the state at snapshot_times[j], a step of
+    config.snapshot_steps(); implicit runs keep multipliers[j], the multiplier
+    of the step into snapshot_times[j + 1].  Past a fixed point, the later
+    snapshots are one shared Field, as are the later multipliers.
     """
 
     grid: Grid
@@ -147,7 +147,7 @@ class Trajectory:
     snapshots: list[Field]
     multipliers: list[Field] | None = None
     eta_hat_gap_l2: np.ndarray | None = None
-    failure: dict | None = dataclass_field(default=None)
+    failure: dict | None = None
 
     def n_steps(self) -> int:
         return len(self.times) - 1
@@ -350,8 +350,10 @@ def run(g: Grid, u0, p: ModelParams, cfg):
     A member whose step moves no node (u_next == u bitwise) is at a fixed point:
     every later step repeats it (yosida's carried resolvent image then gives the
     residual its last solve accepted, so it meets tol after zero iterations).
-    Such a member is no longer stepped, its later rows are filled in as copies
-    (t from times), and the loop ends once no member moves.
+    Such a member is finished at the state it froze at: it is no longer
+    stepped, every later snapshot due is one Field of that state (and every
+    later multiplier the one of the step into it), its later rows are filled
+    in as copies (t from times), and the loop ends once no member moves.
 
     The eta column of the diagnostics always comes from the instantaneous
     state (eta = min(r, 0)), independent of the scheme; the implicit scheme
@@ -375,13 +377,14 @@ def run(g: Grid, u0, p: ModelParams, cfg):
         raise ValueError("give one solver config, or one per member differing in "
                          "yosida_lambda only")
     step, state = _raw_step(g, p, configs)
-    n_steps, dt, stride = cfg.n_steps(), cfg.dt, cfg.snapshot_stride
+    n_steps, dt = cfg.n_steps(), cfg.dt
+    due = cfg.snapshot_steps().tolist()  # the states each member stores
     explicit, implicit = cfg.scheme == "explicit", cfg.scheme == "implicit_obstacle"
     n_members = len(members)
     u = init = np.stack([m.values for m in members])  # the moving members' states, one row each
     active = np.arange(n_members)  # the member of each row of u
     rows = slice(None)  # indexes the members' arrays by row of u: a view until a freeze
-    frozen = {}  # member -> (first step it skipped, its state)
+    frozen = {}  # member -> the state it froze at, the first one it did not step from
     w_cell = g.cell_volume
 
     times = dt * np.arange(n_steps + 1)
@@ -391,9 +394,7 @@ def run(g: Grid, u0, p: ModelParams, cfg):
     du_dt_l2, min_inc = np.zeros((2, n_members, n_steps + 1))
     inner = np.zeros((n_members, n_steps + 1), dtype=int)
     snapshots: list[list[Field]] = [[] for _ in members]
-    snap_times: list[float] = []
     multipliers = [[] for _ in members] if implicit else None
-    last_eta = {}  # implicit: member -> the multiplier of its last step, kept while frozen
     eta_gap = np.zeros((n_members, n_steps + 1)) if implicit else None
 
     def buffers(last: np.ndarray):  # sized to the moving rows, so re-made at a freeze
@@ -429,17 +430,8 @@ def run(g: Grid, u0, p: ModelParams, cfg):
         flushed = stop
         pending = 0
 
-    def snapshot(k: int, uv: np.ndarray):
-        for i, b in enumerate(active):
-            snapshots[b].append(Field(g, uv[i].copy()))
-        for b, (_, row) in frozen.items():
-            snapshots[b].append(Field(g, row.copy()))
-        for b, eta in last_eta.items():  # the step into state k (none into state 0): shared
-            multipliers[b].append(eta)
-        snap_times.append(float(times[k]))
-
     def trajectory(b: int, k: int, failure: dict | None = None) -> Trajectory:
-        f = frozen.get(b, (k,))[0]
+        f = frozen.get(b, k)
         if f < k:  # fill in the rows of the skipped steps
             for a in [diag, res_l2sq, gap_min, du_dt_l2, min_inc, inner] + [eta_gap] * implicit:
                 a[b, f + 1:k + 1] = a[b, f]
@@ -450,7 +442,7 @@ def run(g: Grid, u0, p: ModelParams, cfg):
             res_l2sq=res_l2sq[b, : k + 1], obstacle_gap_min=gap_min[b, : k + 1],
             du_dt_l2=du_dt_l2[b, 1:k + 1], step_min_increment=min_inc[b, 1:k + 1],
             inner_iterations=inner[b, 1:k + 1],
-            snapshot_times=np.array(snap_times), snapshots=snapshots[b],
+            snapshot_times=times[due[:len(snapshots[b])]], snapshots=snapshots[b],
             multipliers=None if multipliers is None else multipliers[b],
             eta_hat_gap_l2=None if eta_gap is None else eta_gap[b, 1:k + 1],
             failure=failure,
@@ -465,20 +457,31 @@ def run(g: Grid, u0, p: ModelParams, cfg):
 
     r = None  # the residual of u, which only the explicit step reads
     stopped = None  # per row: its last step moved no node (None: some node moved in each)
+    stored = 0  # due[stored] is the next state to store
     for k in range(n_steps + 1):
         if explicit:  # record state k
             r = aux[pending] = residual_array(g, u, p)
         pending += 1
         states[pending] = u
-        if k % stride == 0 or k == n_steps:
-            snapshot(k, u)
+        if k == due[stored]:  # with the multiplier of the step into it (none into state 0)
+            for i, b in enumerate(active.tolist()):
+                snapshots[b].append(Field(g, u[i].copy()))
+                if implicit and k:
+                    multipliers[b].append(etas[i])
+            stored += 1
         if pending == block or k == n_steps:
             flush()
         if k == n_steps:
             break
-        if stopped is not None and stopped.any():  # freeze the members that did not move
-            flush()
-            frozen.update((int(b), (k, row)) for b, row in zip(active[stopped], u[stopped]))
+        if stopped is not None and stopped.any():  # finish the members that did not move:
+            flush()  # each later state due is state k, one Field, as is its multiplier
+            later = len(due) - stored
+            for i in np.flatnonzero(stopped).tolist():
+                b = int(active[i])
+                frozen[b] = k
+                snapshots[b] += [Field(g, u[i].copy())] * later
+                if implicit:
+                    multipliers[b] += [etas[i]] * later
             moved = ~stopped
             u, r, active = u[moved], r[moved] if explicit else None, active[moved]
             state = [a[moved] for a in state]
@@ -494,7 +497,6 @@ def run(g: Grid, u0, p: ModelParams, cfg):
         if implicit:  # the rows' multipliers, recorded with state k + 1, and inner iterations
             etas, inner[rows, k + 1] = stats
             aux[pending] = [eta.values for eta in etas]
-            last_eta.update(zip(active.tolist(), etas))
         # Sigma delta^2 per row is the one per-step reduction; the rate norm and the
         # smallest increment are computed at flush from the buffered states
         delta = u_next - u
@@ -507,9 +509,5 @@ def run(g: Grid, u0, p: ModelParams, cfg):
         stopped = ~delta.any(axis=-1) if _FAST_FORWARD and 0.0 in rates else None
         u = u_next
 
-    if k < n_steps:  # every member stopped moving: take the snapshots still due
-        due = cfg.snapshot_steps()
-        for j in due[due > k]:
-            snapshot(j, u)
     trajs = [trajectory(b, n_steps) for b in range(n_members)]
     return trajs[0] if single else trajs

@@ -834,7 +834,7 @@ class TestPublicStepsCheckDt:
 
     def test_iteration_budgets_must_be_positive_integers(self):
         g = make_grid(1, (0, 1), 15)
-        for key in ("newton_max_iter", "pgs_max_iter"):
+        for key in ("newton_max_iter", "pgs_max_iter", "snapshot_stride"):
             for value in (2.5, "abc", 0, -3, True):
                 cfg = SolverConfig(scheme="implicit_obstacle", dt=0.1, t_end=1.0, **{key: value})
                 with pytest.raises(ValueError, match=f"^{key} must be an integer"):
@@ -940,6 +940,16 @@ class TestFlushPath:
                 assert eta.values.tobytes() == b.multipliers[k - 1].values.tobytes()
         frozen = strided[0].multipliers  # shared by every snapshot after the freeze, not copied
         assert all(eta is frozen[0] for eta in frozen)
+
+    @pytest.mark.parametrize("scheme", ["explicit", "yosida", "implicit_obstacle"])
+    def test_frozen_snapshots_are_shared(self, scheme):
+        g = make_grid(1, (-1, 1), 31)
+        u0 = make_initial("zero", g, P1)  # freezes at state 1
+        traj = run(g, u0, P1, scheme_config(g, scheme, n_steps=30, stride=7))
+        np.testing.assert_array_equal(traj.snapshot_times, traj.times[[0, 7, 14, 21, 28, 30]])
+        later = traj.snapshots[1:]  # the snapshots after the freeze
+        assert all(s is later[0] for s in later)
+        assert later[0].values.tobytes() == u0.values.tobytes()
 
     def test_implicit_gap_is_each_step_multiplier_against_its_state(self):
         g = make_grid(1, (-1, 1), 31)
