@@ -204,84 +204,73 @@ def cmd_equilibrium(args, doc) -> int:
 def cmd_sweep(args, doc) -> int:
     """Fan out independent runs and aggregate a multi-run verdict."""
     kind = doc.get("kind")
-    if kind == "yosida_lambda":
-        return _sweep_yosida(args, doc)
-    if kind == "preset_family":
-        return _sweep_family(args, doc)
-    raise config.ConfigError(f"sweep: unknown kind {kind!r}")
-
-
-def _write_sweep_outputs(outdir, doc, aggregate):
-    if outdir:
-        runio.write_json(os.path.join(outdir, "sweep.json"), aggregate)
-        runio.write_json(os.path.join(outdir, "sweep_manifest.json"), doc)
-
-
-def _sweep_yosida(args, doc) -> int:
-    config.require_keys(doc, "config", ("kind", "domain", "model", "initial", "base_solver",
-                                        "lambdas", "reference_solver"), ("outputs",))
+    if not isinstance(kind, str) or kind not in _SWEEPS:
+        raise config.ConfigError(f"sweep: unknown kind {kind!r}")
+    sweep, required, optional = _SWEEPS[kind]
+    config.require_keys(doc, "config", ("kind", "domain", "model") + required,
+                        ("outputs",) + optional)
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"])
+    outdir = config.output_dir(doc, args.out)
+    try:
+        members, aggregate, report, summary = sweep(doc, g, p)
+    except SolverError as exc:
+        print(f"sweep member failure: {exc}", file=sys.stderr)
+        return 7
+    if outdir:
+        for name, extras, traj in members:
+            runio.write_trajectory(traj, os.path.join(outdir, name),
+                                   config_echo={**doc, **extras})
+        runio.write_json(os.path.join(outdir, "sweep.json"), {"kind": kind, **aggregate})
+        runio.write_json(os.path.join(outdir, "sweep_manifest.json"), doc)
+    _say(args, summary)
+    return 0 if report.passed else 4
+
+
+def _sweep_yosida(doc, g, p):
     u0 = parse_initial(doc["initial"], g, p)
     lambdas, base, ref_section = config.yosida_sections(doc)
     ref_cfg = parse_solver(ref_section, g, p, 1, "reference_solver")
-    outdir = config.output_dir(doc, args.out)
-
     cfgs = [parse_solver({**base, "yosida_lambda": lam}, g, p, 1, "base_solver")
             for lam in lambdas]
     try:
         trajs, ref, report = diagnostics.yosida_sweep(g, u0, p, cfgs, ref_cfg)
-    except SolverError as exc:
-        print(f"sweep member failure: {exc}", file=sys.stderr)
-        return 7
     except ValueError as exc:
         raise config.ConfigError(f"sweep: {exc}") from None
-    if outdir:
-        for lam, traj in zip(lambdas, trajs):
-            runio.write_trajectory(traj, os.path.join(outdir, f"lambda_{lam!r}"),
-                                   config_echo={**doc, "member_lambda": lam})
-        runio.write_trajectory(ref, os.path.join(outdir, "reference"), config_echo=doc)
     errors = report.details["errors"]
-    aggregate = {"kind": "yosida_lambda", "lambdas": lambdas, "errors": errors,
-                 "monotone_decreasing": report.passed}
-    _write_sweep_outputs(outdir, doc, aggregate)
-    _say(args, f"errors by lambda: {dict(zip(lambdas, errors))}")
-    return 0 if report.passed else 4
+    members = [(f"lambda_{lam!r}", {"member_lambda": lam}, traj)
+               for lam, traj in zip(lambdas, trajs)]
+    return (members + [("reference", {}, ref)],
+            {"lambdas": lambdas, "errors": errors, "monotone_decreasing": report.passed},
+            report, f"errors by lambda: {dict(zip(lambdas, errors))}")
 
 
-def _sweep_family(args, doc) -> int:
-    config.require_keys(doc, "config", ("kind", "domain", "model", "presets", "solver"),
-                        ("outputs", "margin"))
-    g = parse_domain(doc["domain"])
-    p = parse_model(doc["model"])
+def _sweep_family(doc, g, p):
     initials = [parse_initial(section, g, p)
                 for section in config.nonempty_list(doc["presets"], "presets")]
     cfg = parse_solver(doc["solver"], g, p, 1)
     margin = config.positive(doc.get("margin", 1.0), "margin")
-    outdir = config.output_dir(doc, args.out)
-
-    try:
-        trajs = run(g, initials, p, cfg)
-    except SolverError as exc:
-        print(f"sweep member failure: {exc}", file=sys.stderr)
-        return 7
-    if outdir:
-        for idx, traj in enumerate(trajs):
-            runio.write_trajectory(traj, os.path.join(outdir, f"member_{idx:02d}"),
-                                   config_echo={**doc, "member_index": idx})
+    trajs = run(g, initials, p, cfg)
     r_level = max(float(t.series("res_neg_l2sq")[0]) for t in trajs)
     c_hat = max(diagnostics.check_dissipation(t, p).details["c_hat"] for t in trajs)
     m0 = -energy_floor(g, p)
     phi_bound = c_hat / (2.0 * p.kappa) + margin
     c_bound = 2.0 * p.kappa * m0 + r_level + c_hat / (2.0 * p.kappa) + margin
     report = diagnostics.check_absorbing(trajs, p, c_bound, phi_bound)
-    aggregate = {"kind": "preset_family", "r_level": r_level, "c_hat": c_hat,
-                 "c_bound": c_bound, "phi_bound": phi_bound,
-                 "absorbing": report.to_dict()}
-    _write_sweep_outputs(outdir, doc, aggregate)
-    _say(args, f"absorbing entry times: {report.details['entry_times']}")
-    return 0 if report.passed else 4
+    return ([(f"member_{idx:02d}", {"member_index": idx}, traj)
+             for idx, traj in enumerate(trajs)],
+            {"r_level": r_level, "c_hat": c_hat, "c_bound": c_bound, "phi_bound": phi_bound,
+             "absorbing": report.to_dict()},
+            report, f"absorbing entry times: {report.details['entry_times']}")
 
+
+# kind -> (sweep, its required and optional keys besides kind, domain, model and outputs).
+# A sweep parses all its sections, then steps: (doc, g, p) -> (members, aggregate, report,
+# summary line), each member a (directory name, config-echo extras, trajectory).
+_SWEEPS = {
+    "yosida_lambda": (_sweep_yosida, ("initial", "base_solver", "lambdas", "reference_solver"), ()),
+    "preset_family": (_sweep_family, ("presets", "solver"), ("margin",)),
+}
 
 _COMMANDS = {
     "run": cmd_run,

@@ -145,7 +145,7 @@ _POTENTIAL_KEYS = {"zero": ((), ()), "constant": (("value",), ()), "csv": (("pat
 
 def parse_potential(section, g: Grid, p: ModelParams) -> Field:
     kind = section.get("type") if isinstance(section, dict) else None
-    if kind not in _POTENTIAL_KEYS:
+    if not isinstance(kind, str) or kind not in _POTENTIAL_KEYS:
         raise ConfigError(f"potential: unknown type {kind!r}")
     require_keys(section, "potential", ("type",) + _POTENTIAL_KEYS[kind][0],
                  _POTENTIAL_KEYS[kind][1])
@@ -221,7 +221,7 @@ def default_stride(solver_section, records: int) -> int:
 
 
 def parse_checks(section):
-    """None, or the checks as {"name": str, optional "tolerance": float} entries."""
+    """None, or the checks as {"name": str, optional "tolerance": float > 0} entries."""
     if section is None:
         return None
     if not isinstance(section, list):
@@ -232,7 +232,7 @@ def parse_checks(section):
                             ("name",), ("tolerance",))
         if not isinstance(item["name"], str):
             raise ConfigError(f"checks entry: name: expected a string, got {item['name']!r}")
-        parsed.append({k: number(v, "checks entry: tolerance") if k == "tolerance" else v
+        parsed.append({k: positive(v, "checks entry: tolerance") if k == "tolerance" else v
                        for k, v in item.items()})
     return parsed
 

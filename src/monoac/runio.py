@@ -35,11 +35,8 @@ def _snapshot_filename(k: int) -> str:
     return f"snapshot_{k:08d}.csv"
 
 
-def write_trajectory(traj: Trajectory, outdir, config_echo: dict | None = None) -> dict:
-    """Write diagnostics, per-step series, strided snapshots and the manifest.
-
-    Returns the manifest.
-    """
+def write_trajectory(traj: Trajectory, outdir, config_echo: dict | None = None):
+    """Write diagnostics, per-step series, strided snapshots and the manifest."""
     os.makedirs(outdir, exist_ok=True)
     _write_table(os.path.join(outdir, DIAGNOSTICS_FILE), SNAPSHOT_COLUMNS, traj.diag)
     first_step = np.zeros(1)  # no step ends at t_0
@@ -54,17 +51,11 @@ def write_trajectory(traj: Trajectory, outdir, config_echo: dict | None = None) 
         write_field_csv(os.path.join(outdir, name), field)
         snapshot_files.append({"file": name, "t": float(t)})
 
-    g = traj.grid
     manifest = {
         "config": config_echo if config_echo is not None else dataclasses.asdict(traj.config),
         "solver": dataclasses.asdict(traj.config),
-        "grid": {
-            "dim": g.dim,
-            "endpoints": [list(e) for e in g.endpoints],
-            "n_interior": list(g.n_interior),
-            "h": list(g.h),
-        },
-        "model": {"kappa": traj.params.kappa},
+        "grid": dataclasses.asdict(traj.grid),
+        "model": dataclasses.asdict(traj.params),
         "n_steps": traj.n_steps(),
         "t_end": float(traj.times[-1]),
         "snapshots": snapshot_files,
@@ -74,7 +65,6 @@ def write_trajectory(traj: Trajectory, outdir, config_echo: dict | None = None) 
     if traj.eta_hat_gap_l2 is not None and len(traj.eta_hat_gap_l2):
         manifest["eta_hat_gap_l2_max"] = float(np.max(traj.eta_hat_gap_l2))
     write_json(os.path.join(outdir, MANIFEST_FILE), manifest)
-    return manifest
 
 
 def write_json(path, doc):
@@ -160,14 +150,12 @@ def manifest_sha256(outdir) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def write_verification(outdir, reports, manifest_hash: str | None) -> dict:
-    doc = {
+def write_verification(outdir, reports, manifest_hash: str | None):
+    write_json(os.path.join(outdir, "verification.json"), {
         "checks": [r.to_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),
         "manifest_sha256": manifest_hash,
-    }
-    write_json(os.path.join(outdir, "verification.json"), doc)
-    return doc
+    })
 
 
 def load_state_field(outdir, t: float | None = None) -> Field:

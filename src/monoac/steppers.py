@@ -107,6 +107,8 @@ class SolverConfig:
         n = self.t_end / self.dt
         if abs(n - round(n)) > 1e-8 * max(1.0, n):
             raise ValueError(f"t_end={self.t_end} is not an integer number of steps of dt={self.dt}")
+        if round(n) < 1:
+            raise ValueError(f"t_end={self.t_end} is shorter than one step of dt={self.dt}")
 
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
@@ -166,7 +168,7 @@ def snapshot_index(snapshot_times, t: float) -> int:
     """Index of the snapshot stored at time t (to 1e-9 relative); KeyError if none."""
     times = np.asarray(snapshot_times)
     idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+    if not abs(times[idx] - t) <= 1e-9 * max(1.0, abs(times[idx])):  # nan and inf match none
         raise KeyError(f"no stored snapshot at t={t}")
     return idx
 

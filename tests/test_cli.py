@@ -551,6 +551,17 @@ class TestSweepCommand:
         }
         assert main(["sweep", "--config", write_config(tmp_path, doc), "--quiet"]) == 7
 
+    @pytest.mark.parametrize("command", ["yosida", "family"])
+    def test_member_failure_with_outputs_exits_7_writing_nothing(self, tmp_path, capsys,
+                                                                 command):
+        doc = refusal_doc(command, tmp_path)
+        doc["base_solver" if command == "yosida" else "solver"].update(
+            {"newton_tol": 1e-16, "newton_max_iter": 1, "pgs_tol": 1e-16, "pgs_max_iter": 2})
+        doc["outputs"] = {"directory": str(tmp_path / "sweep")}
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--quiet"]) == 7
+        assert "sweep member failure" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_yosida_sweep_without_common_snapshot_times_exits_2(self, tmp_path, capsys,
                                                                     monkeypatch):
         # the members snapshot at t = 1/16 only, the reference at 1/32 and 3/64
@@ -668,6 +679,8 @@ class TestSweepCommand:
     def test_unknown_kind_exits_2(self, tmp_path):
         assert main(["sweep", "--config",
                      write_config(tmp_path, {"kind": "grid_refinement"}), "--quiet"]) == 2
+        assert main(["sweep", "--config",
+                     write_config(tmp_path, {"kind": ["preset_family"]}), "--quiet"]) == 2
 
 
 D15 = {"dim": 1, "endpoints": [-1, 1], "n_interior": 15}
@@ -726,6 +739,10 @@ REFUSALS = {
     "run_directory_number": ("run", _set("outputs", "directory", 5), "outputs: directory"),
     "check_tolerance": ("verify", _set("checks", [{"name": "monotone", "tolerance": "abc"}]),
                         "checks entry: tolerance"),
+    "check_tolerance_zero": ("verify", _set("checks", [{"name": "range", "tolerance": 0}]),
+                             "checks entry: tolerance"),
+    "check_tolerance_negative": ("verify", _set("checks", [{"name": "range", "tolerance": -1}]),
+                                 "checks entry: tolerance"),
     "check_name_number": ("verify", _set("checks", [{"name": 5}]), "checks entry: name"),
     "outputs_typo": ("eigen", _set("outputs", {"directroy": "eig"}), "directroy"),
     "family_stride_zero": ("family", _set("solver", "snapshot_stride", 0), "snapshot_stride"),
@@ -734,6 +751,7 @@ REFUSALS = {
     "n_interior_fraction": ("run", _set("domain", "n_interior", 15.5), "n_interior"),
     "n_interior_bool": ("run", _set("domain", "n_interior", True), "n_interior"),
     "kappa_bool": ("run", _set("model", "kappa", True), "kappa"),
+    "potential_type_list": ("eigen", _set("potential", {"type": ["zero"]}), "potential"),
     "zero_potential_value": ("eigen", _set("potential", {"type": "zero", "value": 1.0}),
                              "value"),
     "warm_csv_number": ("equilibrium", _set("warm_start", {"csv": 5}), "warm_start: csv"),
@@ -752,6 +770,7 @@ REFUSALS = {
     "dt_bool": ("run", _set("solver", "dt", True), "solver: dt"),
     "dt_string": ("run", _set("solver", "dt", "abc"), "solver: dt"),
     "t_end_bool": ("run", _set("solver", "t_end", True), "solver: t_end"),
+    "t_end_below_one_step": ("run", _set("solver", "t_end", 1e-10), "solver: t_end"),
     "newton_tol_string": ("run", _set("solver", "newton_tol", "abc"), "solver: newton_tol"),
     "pgs_tol_string": ("run", _set("solver", "pgs_tol", "abc"), "solver: pgs_tol"),
     "yosida_lambda_bool": ("family", _set("solver", "yosida_lambda", True),
@@ -867,9 +886,11 @@ def test_load_state_field_picks_the_stored_snapshot(tmp_path):
         state = load_state_field(out, t=t)
         assert state.grid == traj.grid
         np.testing.assert_array_equal(state.values, traj.snapshots[k].values)
-    for t in (0.7, 5.0):
+    for t in (0.7, 5.0, np.nan, np.inf, -np.inf):
         with pytest.raises(KeyError):
             load_state_field(out, t=t)
+        with pytest.raises(KeyError):
+            traj.state_at_time(t)
 
 
 def test_only_verify_loads_openssl(tmp_path):
