@@ -256,11 +256,8 @@ def parse_run_config(doc: dict) -> RunSetup:
     outputs = require_keys(doc["outputs"], "outputs", ("directory",), ("stride",))
     require_keys(doc["solver"], "solver", (), _SOLVER_KEYS[:-1])  # a run's stride: outputs.stride
     stride = outputs.get("stride")
-    if stride is None:
-        stride = default_stride(doc["solver"], 100)
-    stride = number(stride, "outputs: stride", int)
-    if stride < 1:
-        raise ConfigError("outputs: stride must be >= 1")
+    stride = positive(default_stride(doc["solver"], 100) if stride is None else stride,
+                      "outputs: stride", int)
     return RunSetup(grid=g, params=p, u0=u0, solver=parse_solver(doc["solver"], g, p, stride),
                     out_dir=path_string(outputs["directory"], "outputs: directory"),
                     checks=parse_checks(doc.get("checks")))

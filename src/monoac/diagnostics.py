@@ -133,6 +133,8 @@ def check_eta_monotone(traj: Trajectory, tol: float | None = None) -> CheckRepor
 
 def check_range(traj: Trajectory, upper_tol: float = 1e-8) -> CheckReport:
     """Range preservation: u0 <= u(t) <= max(sqrt(kappa), |u0|_inf)."""
+    if not upper_tol > 0:
+        raise ValueError(f"upper_tol must be > 0, got {upper_tol}")
     lower_tol = 1e-12  # for u(t) >= u0
     bound = max(np.sqrt(traj.params.kappa), float(np.max(np.abs(traj.u0.values))))
     linf = traj.series("u_linf")
@@ -426,5 +428,7 @@ def run_checks(traj: Trajectory, requested) -> list[CheckReport]:
             raise ValueError(
                 f"unknown check {name!r}; expected one of {sorted(SINGLE_TRAJECTORY_CHECKS)}"
             ) from None
+        if override is not None and not 0 < override < np.inf:
+            raise ValueError(f"check {name!r}: tolerance must be finite and > 0, got {override}")
         reports.append(check(traj, **({} if override is None else {keyword: override})))
     return reports

@@ -353,9 +353,9 @@ def run(g: Grid, u0, p: ModelParams, cfg):
     every later step repeats it (yosida's carried resolvent image then gives the
     residual its last solve accepted, so it meets tol after zero iterations).
     Such a member is finished at the state it froze at: it is no longer
-    stepped, every later snapshot due is one Field of that state (and every
-    later multiplier the one of the step into it), its later rows are filled
-    in as copies (t from times), and the loop ends once no member moves.
+    stepped, its later rows are copies of its last (t from times), every later
+    snapshot due is one Field of that state (and every later multiplier the one
+    of the step into it), and the loop ends once no member moves.
 
     The eta column of the diagnostics always comes from the instantaneous
     state (eta = min(r, 0)), independent of the scheme; the implicit scheme
@@ -385,8 +385,6 @@ def run(g: Grid, u0, p: ModelParams, cfg):
     n_members = len(members)
     u = init = np.stack([m.values for m in members])  # the moving members' states, one row each
     active = np.arange(n_members)  # the member of each row of u
-    rows = slice(None)  # indexes the members' arrays by row of u: a view until a freeze
-    frozen = {}  # member -> the state it froze at, the first one it did not step from
     w_cell = g.cell_volume
 
     times = dt * np.arange(n_steps + 1)
@@ -418,26 +416,21 @@ def run(g: Grid, u0, p: ModelParams, cfg):
         uv = states[1:pending + 1]
         r = aux[:pending] if explicit else residual_array(g, uv, p)
         values = _snapshot_values(g, uv, p, times[flushed:stop, None], r=r)
-        diag[rows, flushed:stop] = values.swapaxes(0, 1)
-        res_l2sq[rows, flushed:stop] = (w_cell * (r * r).sum(axis=-1)).T
-        gap_min[rows, flushed:stop] = (uv - init[rows]).min(axis=-1).T
+        diag[active, flushed:stop] = values.swapaxes(0, 1)
+        res_l2sq[active, flushed:stop] = (w_cell * (r * r).sum(axis=-1)).T
+        gap_min[active, flushed:stop] = (uv - init[active]).min(axis=-1).T
         if implicit:
-            eta_gap[rows, flushed:stop] = np.sqrt(
+            eta_gap[active, flushed:stop] = np.sqrt(
                 w_cell * np.sum((aux[:pending] - np.minimum(r, 0.0)) ** 2, axis=-1)).T
         delta = states[1:pending + 1] - states[:pending]  # the steps into the buffered states
-        min_inc[rows, flushed:stop] = delta.min(axis=-1).T
+        min_inc[active, flushed:stop] = delta.min(axis=-1).T
         np.multiply(delta, delta, out=delta)
-        du_dt_l2[rows, flushed:stop] = (np.sqrt(w_cell * delta.sum(axis=-1)) / dt).T
+        du_dt_l2[active, flushed:stop] = (np.sqrt(w_cell * delta.sum(axis=-1)) / dt).T
         states[0] = states[pending]
         flushed = stop
         pending = 0
 
     def trajectory(b: int, k: int, failure: dict | None = None) -> Trajectory:
-        f = frozen.get(b, k)
-        if f < k:  # fill in the rows of the skipped steps
-            for a in [diag, res_l2sq, gap_min, du_dt_l2, min_inc, inner] + [eta_gap] * implicit:
-                a[b, f + 1:k + 1] = a[b, f]
-            diag[b, f + 1:k + 1, SNAPSHOT_COLUMNS.index("t")] = times[f + 1:k + 1]
         return Trajectory(
             grid=g, params=p, config=configs[b], u0=members[b],
             times=times[: k + 1], diag=diag[b, : k + 1],
@@ -478,9 +471,11 @@ def run(g: Grid, u0, p: ModelParams, cfg):
         if stopped is not None and stopped.any():  # finish the members that did not move:
             flush()  # each later state due is state k, one Field, as is its multiplier
             later = len(due) - stored
-            for i in np.flatnonzero(stopped).tolist():
-                b = int(active[i])
-                frozen[b] = k
+            done = active[stopped]  # their later rows repeat row k, t from times
+            for a in [diag, res_l2sq, gap_min, du_dt_l2, min_inc, inner] + [eta_gap] * implicit:
+                a[done, k + 1:] = a[done, k:k + 1]
+            diag[done, k + 1:, SNAPSHOT_COLUMNS.index("t")] = times[k + 1:]
+            for i, b in zip(np.flatnonzero(stopped).tolist(), done.tolist()):
                 snapshots[b] += [Field(g, u[i].copy())] * later
                 if implicit:
                     multipliers[b] += [etas[i]] * later
@@ -489,7 +484,6 @@ def run(g: Grid, u0, p: ModelParams, cfg):
             state = [a[moved] for a in state]
             if not len(active):
                 break
-            rows = active
             block, states, aux = buffers(u)  # u is state k, the last one flushed
         try:
             u_next, stats = step(u, r, state)
@@ -497,7 +491,7 @@ def run(g: Grid, u0, p: ModelParams, cfg):
             b = int(active[exc.member or 0])
             raise fail(b, k, str(exc), str(exc)) from exc
         if implicit:  # the rows' multipliers, recorded with state k + 1, and inner iterations
-            etas, inner[rows, k + 1] = stats
+            etas, inner[active, k + 1] = stats
             aux[pending] = [eta.values for eta in etas]
         # Sigma delta^2 per row is the one per-step reduction; the rate norm and the
         # smallest increment are computed at flush from the buffered states

@@ -15,6 +15,7 @@ from monoac.cli import main
 from monoac.grid import read_field_csv, write_field_csv
 from monoac.presets import make_initial
 from monoac.runio import load_state_field, read_trajectory, write_trajectory
+from monoac.spectral import min_eig
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -346,6 +347,19 @@ class TestEigenCommand:
                "potential": {"type": "csv", "path": str(path)}}
         assert main(["eigen", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [None, 0.5])
+    def test_scaled_square_potential_is_scale_times_initial_squared(self, tmp_path, capsys,
+                                                                    scale):
+        potential = {"type": "scaled_square", "initial": {"preset": "abs_edge"}}
+        if scale is not None:
+            potential["scale"] = scale
+        doc = {"domain": dict(D15), "potential": potential}
+        assert main(["eigen", "--config", write_config(tmp_path, doc), "--quiet"]) == 0
+        g = make_grid(1, (-1, 1), 15)
+        u0 = make_initial("abs_edge", g, ModelParams(kappa=1.0)).values
+        V = Field(g, (3.0 if scale is None else scale) * u0**2)
+        assert float(capsys.readouterr().out) == min_eig(g, V).lambda_min
 
     def test_failure_exits_5(self, tmp_path):
         doc = {
@@ -785,6 +799,15 @@ REFUSALS = {
     "eigen_tol_negative": ("eigen", _set("tol", -1), "tol"),
     "equilibrium_tol_negative": ("equilibrium", _set("tol", -1), "tol"),
     "equilibrium_tol_nan": ("equilibrium", _set("tol", "nan"), "tol"),
+    "run_stride_zero": ("run", _set("outputs", "stride", 0), "outputs: stride"),
+    "run_stride_negative": ("run", _set("outputs", "stride", -1), "outputs: stride"),
+    "endpoints_reversed": ("run", _set("domain", "endpoints", [1, -1]), "domain: endpoints"),
+    "n_interior_zero": ("run", _set("domain", "n_interior", 0), "domain: n_interior"),
+    "kappa_zero": ("run", _set("model", "kappa", 0), "model: kappa"),
+    "kappa_negative": ("run", _set("model", "kappa", -1.0), "model: kappa"),
+    "initial_string": ("run", _set("initial", "abs_edge"), "initial"),
+    "initial_without_source": ("run", _set("initial", {"height": 0.2}), "initial"),
+    "checks_string": ("verify", _set("checks", "monotone"), "checks"),
 }
 
 
@@ -859,6 +882,16 @@ def test_malformed_manifest_equilibrium_exits_6(tmp_path, case):
 
 def test_missing_config_flag_is_error():
     assert main(["run"]) == 2
+
+
+def test_module_entry_point_refuses_a_missing_config_file(tmp_path):
+    missing = tmp_path / "missing.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "monoac.cli", "run", "--config", str(missing)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert f"config file not found: {missing}" in proc.stderr
 
 
 def test_2d_run_roundtrip(tmp_path):

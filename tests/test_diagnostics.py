@@ -152,6 +152,11 @@ class TestRange:
         bad.diag[4, 7] = 3.0  # u_linf column
         assert not check_range(bad).passed
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
+    def test_nonpositive_upper_tol_refused(self, abs_edge_traj, tol):
+        with pytest.raises(ValueError, match="upper_tol"):
+            check_range(abs_edge_traj, upper_tol=tol)
+
 
 class TestComparison:
     def test_identical_data_equal(self, abs_edge_traj):
@@ -469,6 +474,12 @@ class TestRunChecks:
     def test_unknown_name_rejected(self, abs_edge_traj):
         with pytest.raises(ValueError, match="unknown check"):
             run_checks(abs_edge_traj, ["entropy"])
+
+    @pytest.mark.parametrize("name", ["range", "monotone", "energy_flux"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+    def test_tolerance_not_finite_and_positive_refused(self, abs_edge_traj, name, tol):
+        with pytest.raises(ValueError, match=f"check '{name}': tolerance"):
+            run_checks(abs_edge_traj, [{"name": name, "tolerance": tol}])
 
     def test_reports_reproducible(self, abs_edge_traj):
         a = [r.to_dict() for r in run_checks(abs_edge_traj, list(

@@ -5,6 +5,7 @@ import pytest
 
 from monoac import Field, ModelParams, make_grid
 from monoac.obstacle import (
+    NEWTON_TOL,
     KernelError,
     ObstacleProblem,
     brute_force_obstacle,
@@ -273,6 +274,62 @@ class TestSemismoothLoop:
         ub, _ = brute_force_obstacle(prob)
         assert fallbacks == [1]
         assert np.max(np.abs(u.values - ub.values)) <= 1e-10
+
+    @staticmethod
+    def patched(monkeypatch, shifted):
+        """Route each obstacle.solve_shifted call through shifted(the real solve); count PGS
+        fallbacks."""
+        from monoac import obstacle
+
+        real, fallbacks = obstacle.solve_shifted, []
+
+        def counted(*args, **kwargs):
+            fallbacks.append(1)
+            return solve_pgs(*args, **kwargs)
+
+        monkeypatch.setattr(obstacle, "solve_shifted", lambda *args, **kwargs: shifted(
+            lambda: real(*args, **kwargs)))
+        monkeypatch.setattr(obstacle, "solve_pgs", counted)
+        return fallbacks
+
+    @staticmethod
+    def assert_kkt(prob, u, eta):
+        rep = complementarity_report(prob, u, eta)
+        assert rep.primal_violation == 0.0
+        assert rep.dual_violation <= 1e-10
+        assert rep.gap <= 1e-10 * (1 + float(np.max(np.abs(u.values))))
+        assert rep.stationarity_residual <= 1e-8
+
+    def test_failed_linear_solve_falls_back_to_pgs(self, monkeypatch):
+        from monoac._linsolve import LinearSolveError
+
+        def failing(solve):
+            raise LinearSolveError("forced failure")
+
+        fallbacks = self.patched(monkeypatch, failing)
+        prob = next(itertools.islice(criterion_2_instances(), 1, None))
+        u, eta, _ = solve_active_set(prob, zero_field(prob.grid))
+        assert fallbacks == [1]
+        self.assert_kkt(prob, u, eta)
+
+    def test_overlong_newton_step_is_halved(self, monkeypatch):
+        # a full step of 4 delta roughly triples the residual, so only the halving to
+        # delta keeps the loop off the PGS fallback
+        expected = [solve_active_set(prob, zero_field(prob.grid))[0]
+                    for prob in itertools.islice(criterion_2_instances(), 10)]
+        fallbacks = self.patched(monkeypatch, lambda solve: 4.0 * solve())
+        for prob, ref in zip(itertools.islice(criterion_2_instances(), 10), expected):
+            u, eta, _ = solve_active_set(prob, zero_field(prob.grid))
+            assert np.max(np.abs(u.values - ref.values)) <= NEWTON_TOL
+            self.assert_kkt(prob, u, eta)
+        assert fallbacks == []
+
+    def test_zero_newton_step_exhausts_the_line_search(self, monkeypatch):
+        fallbacks = self.patched(monkeypatch, lambda solve: 0.0 * solve())
+        prob = next(itertools.islice(criterion_2_instances(), 1, None))
+        u, eta, _ = solve_active_set(prob, zero_field(prob.grid))
+        assert fallbacks == [1]
+        self.assert_kkt(prob, u, eta)
 
 
 class TestBruteForce:
