@@ -145,8 +145,8 @@ def cmd_eigen(args, doc) -> int:
     g = parse_domain(doc["domain"])
     p = parse_model(doc["model"]) if "model" in doc else ModelParams(kappa=1.0)
     V = config.parse_potential(doc["potential"], g, p)
-    options = {k: config.positive(doc[k], k, kind)
-               for k, kind in (("tol", float), ("max_iter", int)) if k in doc}
+    options = {k: read(doc[k], k)
+               for k, read in (("tol", config.positive), ("max_iter", config.count)) if k in doc}
     outdir = config.output_dir(doc, args.out)
     try:
         result = min_eig(g, V, **options)
@@ -173,11 +173,13 @@ def cmd_equilibrium(args, doc) -> int:
     tol = config.positive(doc.get("tol", EQUILIBRIUM_TOL), "tol")
     kind, source = config.warm_start_source(doc["warm_start"])
     if kind == "run":
-        source = parse_solver(source, g, p, config.default_stride(source, 10), "warm_start: run")
+        source = parse_solver(source, g, p, 10, "warm_start: run")
     outdir = config.output_dir(doc, args.out)
     try:
         if kind == "trajectory":
             warm = runio.load_state_field(source)
+            if warm.grid != g:
+                raise ValueError(f"{source}: the run is not on the configured domain")
         elif kind == "csv":
             warm = read_field_csv(source, grid=g)
         else:
@@ -230,8 +232,8 @@ def cmd_sweep(args, doc) -> int:
 def _sweep_yosida(doc, g, p):
     u0 = parse_initial(doc["initial"], g, p)
     lambdas, base, ref_section = config.yosida_sections(doc)
-    ref_cfg = parse_solver(ref_section, g, p, 1, "reference_solver")
-    cfgs = [parse_solver({**base, "yosida_lambda": lam}, g, p, 1, "base_solver")
+    ref_cfg = parse_solver(ref_section, g, p, where="reference_solver")
+    cfgs = [parse_solver({**base, "yosida_lambda": lam}, g, p, where="base_solver")
             for lam in lambdas]
     try:
         trajs, ref, report = diagnostics.yosida_sweep(g, u0, p, cfgs, ref_cfg)
@@ -248,7 +250,7 @@ def _sweep_yosida(doc, g, p):
 def _sweep_family(doc, g, p):
     initials = [parse_initial(section, g, p)
                 for section in config.nonempty_list(doc["presets"], "presets")]
-    cfg = parse_solver(doc["solver"], g, p, 1)
+    cfg = parse_solver(doc["solver"], g, p)
     margin = config.positive(doc.get("margin", 1.0), "margin")
     trajs = run(g, initials, p, cfg)
     r_level = max(float(t.series("res_neg_l2sq")[0]) for t in trajs)

@@ -7,7 +7,7 @@ loudly before any computation starts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .steppers import SolverConfig
 __all__ = ["ConfigError", "RunSetup", "load_json", "parse_run_config", "parse_domain",
            "parse_model", "parse_initial", "parse_potential", "parse_solver", "parse_checks",
            "yosida_sections", "warm_start_source", "output_dir", "require_keys",
-           "default_stride", "number", "positive", "nonempty_list"]
+           "number", "positive", "count", "nonempty_list"]
 
 
 class ConfigError(ValueError):
@@ -39,36 +39,43 @@ def load_json(path) -> dict:
     return doc
 
 
-def number(value, where: str, kind=float):
-    """kind(value) for a numeric config entry; ConfigError naming `where` if that fails.
-
-    A bool, or a fractional number where kind is int, fails rather than being truncated.
-    """
+def number(value, where: str) -> float:
+    """float(value) of a numeric config entry, which must be a JSON number (an int or a
+    float): a bool or a string is refused, naming `where`."""
     try:
-        if isinstance(value, bool) or kind is int and isinstance(value, float) and value % 1:
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+        if type(value) in (int, float):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{where}: expected a number, got {value!r}")
 
 
-def positive(value, where: str, kind=float):
-    """number() of an entry that must be finite and > 0: an integer >= 1 where kind is int."""
-    if not 0 < (x := number(value, where, kind)) < np.inf:
+def positive(value, where: str) -> float:
+    """number() of an entry that must be finite and > 0."""
+    if not 0 < (x := number(value, where)) < np.inf:
         raise ConfigError(f"{where}: expected a finite number > 0, got {value!r}")
     return x
 
 
-def _numbers(value, where: str, kind=float):
-    """number() of a scalar entry, or of each item of a list entry."""
+def count(value, where: str) -> int:
+    """An integer entry, which is always a count: a whole JSON number >= 1 (2.0 counts)."""
+    if type(value) not in (int, float) or not value >= 1 or value % 1:
+        raise ConfigError(f"{where} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _numbers(value, where: str, read=number):
+    """read() of a scalar entry, or of each item of a list entry."""
     if isinstance(value, list):
-        return [number(x, where, kind) for x in value]
-    return number(value, where, kind)
+        return [read(x, where) for x in value]
+    return read(value, where)
 
 
 def _real(value, where: str):
-    """number() of an entry the manifest echoes: an integer stays an integer."""
-    return number(value, where, int if type(value) is int else float)
+    """number() of an entry the manifest echoes: an integer stays an integer (one that no
+    float can hold is refused)."""
+    x = number(value, where)
+    return value if type(value) is int else x
 
 
 def nonempty_list(value, where: str) -> list:
@@ -98,12 +105,12 @@ def require_keys(section: dict, where: str, required, optional=()) -> dict:
 
 def parse_domain(section) -> Grid:
     require_keys(section, "domain", ("dim", "endpoints", "n_interior"))
-    dim = number(section["dim"], "domain: dim", int)
+    dim = count(section["dim"], "domain: dim")
     endpoints = section["endpoints"]
     if isinstance(endpoints, list):  # [lo, hi] in 1D, one such pair per axis in 2D
         endpoints = [[_real(x, "domain: endpoints") for x in e] if isinstance(e, list)
                      else _real(e, "domain: endpoints") for e in endpoints]
-    n_interior = _numbers(section["n_interior"], "domain: n_interior", int)
+    n_interior = _numbers(section["n_interior"], "domain: n_interior", count)
     try:
         return make_grid(dim, endpoints, n_interior)
     except (TypeError, ValueError) as exc:
@@ -161,25 +168,28 @@ def parse_potential(section, g: Grid, p: ModelParams) -> Field:
     return Field(g, value * np.ones(g.n_nodes))
 
 
-_SOLVER_KEYS = ("scheme", "dt", "t_end", "splitting", "yosida_lambda",
-                "newton_tol", "newton_max_iter", "pgs_tol", "pgs_max_iter", "snapshot_stride")
-_SOLVER_REALS = ("dt", "t_end", "yosida_lambda", "newton_tol", "pgs_tol")
+# a solver section's keys are SolverConfig's fields, read by their annotated types; the
+# fields without a default are required
+_READERS = {"str": lambda value, where: value, "float": _real, "int": count}
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
+_SOLVER_REQUIRED = tuple(f.name for f in fields(SolverConfig) if f.default is MISSING)
 
 
-def parse_solver(section, g: Grid, p: ModelParams, stride: int,
+def parse_solver(section, g: Grid, p: ModelParams, records: int | None = None,
                  where: str = "solver") -> SolverConfig:
-    """The validated SolverConfig of a solver section; stride is the default for
-    its optional "snapshot_stride", an integer >= 1."""
-    require_keys(section, where, _SOLVER_KEYS[:3], _SOLVER_KEYS[3:])
-    kwargs = {k: _real(section[k], f"{where}: {k}") if k in _SOLVER_REALS else section[k]
-              for k in _SOLVER_KEYS[:-1] if k in section}
-    stride = number(section.get("snapshot_stride", stride), f"{where}: snapshot_stride", int)
+    """The validated SolverConfig of a solver section.  Without a "snapshot_stride" it
+    stores about `records` snapshots, every max(1, n_steps // records)-th step (with no
+    records, every step)."""
+    require_keys(section, where, _SOLVER_REQUIRED, _SOLVER_KEYS)
+    cfg = SolverConfig(**{f.name: _READERS[f.type](section[f.name], f"{where}: {f.name}")
+                          for f in fields(SolverConfig) if f.name in section})
     try:
-        cfg = SolverConfig(snapshot_stride=stride, **kwargs)
         cfg.validate(g, p)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    return cfg
+    if records is None or "snapshot_stride" in section:
+        return cfg
+    return replace(cfg, snapshot_stride=max(1, cfg.n_steps() // records))
 
 
 def yosida_sections(doc) -> tuple[list, dict, dict]:
@@ -207,17 +217,6 @@ def output_dir(doc, override) -> str | None:
     section = require_keys(doc.get("outputs", {}), "outputs", (), ("directory",))
     directory = path_string(section["directory"], "outputs: directory") if section else None
     return override or directory
-
-
-def default_stride(solver_section, records: int) -> int:
-    """max(1, round(t_end/dt) // records): about `records` snapshots over a solver
-    section's run.  1 where dt or t_end is missing or gives no step count:
-    parse_solver then refuses the section, naming the key."""
-    try:
-        return max(1, round(float(solver_section["t_end"]) / float(solver_section["dt"]))
-                   // records)
-    except (KeyError, TypeError, ValueError, ArithmeticError):
-        return 1
 
 
 def parse_checks(section):
@@ -254,10 +253,11 @@ def parse_run_config(doc: dict) -> RunSetup:
     p = parse_model(doc["model"])
     u0 = parse_initial(doc["initial"], g, p)
     outputs = require_keys(doc["outputs"], "outputs", ("directory",), ("stride",))
-    require_keys(doc["solver"], "solver", (), _SOLVER_KEYS[:-1])  # a run's stride: outputs.stride
-    stride = outputs.get("stride")
-    stride = positive(default_stride(doc["solver"], 100) if stride is None else stride,
-                      "outputs: stride", int)
-    return RunSetup(grid=g, params=p, u0=u0, solver=parse_solver(doc["solver"], g, p, stride),
+    # a run's stride is outputs.stride, else about 100 records
+    require_keys(doc["solver"], "solver", (), set(_SOLVER_KEYS) - {"snapshot_stride"})
+    cfg = parse_solver(doc["solver"], g, p, 100)
+    if outputs.get("stride") is not None:
+        cfg = replace(cfg, snapshot_stride=count(outputs["stride"], "outputs: stride"))
+    return RunSetup(grid=g, params=p, u0=u0, solver=cfg,
                     out_dir=path_string(outputs["directory"], "outputs: directory"),
                     checks=parse_checks(doc.get("checks")))

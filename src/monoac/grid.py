@@ -265,14 +265,9 @@ def negative_part(u: Field) -> Field:
 
 
 def stencil_min_eigenvalue(g: Grid) -> float:
-    """Smallest eigenvalue of the negative discrete Laplacian, summed per axis.
-
-    Per axis the 3-point stencil has first eigenvalue (2/h^2)(1 - cos(pi h / L)).
-    """
-    total = 0.0
-    for (lo, hi), h in zip(g.endpoints, g.h):
-        total += (2.0 / (h * h)) * (1.0 - np.cos(np.pi * h / (hi - lo)))
-    return float(total)
+    """Smallest eigenvalue of the negative discrete Laplacian: the sum of each axis's first
+    ``axis_eigenvalues``."""
+    return float(sum(lam[0] for lam in g.axis_eigenvalues))
 
 
 def first_mode(g: Grid) -> Field:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monoac import Field, ModelParams, SolverConfig, make_grid, run
+from monoac import Field, ModelParams, SolverConfig, config, make_grid, run
 from monoac.cli import main
 from monoac.grid import read_field_csv, write_field_csv
 from monoac.presets import make_initial
@@ -151,6 +151,26 @@ class TestRunCommand:
         assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 2
         assert f"solver: {key} must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_integral_float_budgets_are_counts(self, tmp_path):
+        doc = run_config(tmp_path)
+        doc["solver"].update({"newton_max_iter": 50.0, "pgs_max_iter": 10.0})
+        assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 0
+        solver = json.loads((tmp_path / "out" / "manifest.json").read_text())["solver"]
+        assert (solver["newton_max_iter"], solver["pgs_max_iter"]) == (50, 10)
+        assert type(solver["newton_max_iter"]) is type(solver["pgs_max_iter"]) is int
+
+    @pytest.mark.parametrize("n_steps", [1000, 40])
+    def test_default_stride_is_a_hundredth_of_the_steps(self, tmp_path, n_steps):
+        doc = run_config(tmp_path, domain={"dim": 1, "endpoints": [-1, 1], "n_interior": 15})
+        doc["solver"]["t_end"] = n_steps * doc["solver"]["dt"]
+        del doc["outputs"]["stride"]
+        assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        stride = max(1, n_steps // 100)
+        assert manifest["solver"]["snapshot_stride"] == stride
+        steps = [round(e["t"] / doc["solver"]["dt"]) for e in manifest["snapshots"]]
+        assert steps == list(range(0, n_steps + 1, stride))
 
     def test_initial_csv_with_malformed_header_exits_2(self, tmp_path):
         path = malformed_header_csv(tmp_path, make_grid(1, (-1, 1), 63))
@@ -447,6 +467,23 @@ class TestEquilibriumCommand:
         assert main(["equilibrium", "--config", write_config(tmp_path, doc), "--quiet"]) == 6
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("domain", [{"n_interior": 63}, {"endpoints": [-2, 2]}])
+    def test_trajectory_warm_start_on_another_domain_exits_6(self, tmp_path, capsys, domain):
+        run_doc = run_config(tmp_path, out="run",
+                             domain={"dim": 1, "endpoints": [-1, 1], "n_interior": 31})
+        assert main(["run", "--config", write_config(tmp_path, run_doc, "run.json"),
+                     "--quiet"]) == 0
+        doc = {
+            "domain": {**run_doc["domain"], **domain},
+            "model": {"kappa": 1.0},
+            "obstacle": {"preset": "abs_edge"},
+            "warm_start": {"trajectory": str(tmp_path / "run")},
+            "outputs": {"directory": str(tmp_path / "eq")},
+        }
+        assert main(["equilibrium", "--config", write_config(tmp_path, doc), "--quiet"]) == 6
+        assert str(tmp_path / "run") in capsys.readouterr().err
+        assert not (tmp_path / "eq").exists()
+
     def test_run_warm_start_without_t_end_exits_2(self, tmp_path):
         doc = {
             "domain": {"dim": 1, "endpoints": [0, 1], "n_interior": 31},
@@ -490,13 +527,47 @@ def malformed_header_csv(tmp_path, g):
     return path
 
 
-def perfbench_gates():
-    """The benchmark's gates module, which parses what the sweep commands print."""
-    spec = importlib.util.spec_from_file_location("perfbench_gates",
-                                                  REPO / "perfbench" / "gates.py")
+def perfbench_module(name):
+    """The benchmark's module perfbench/<name>.py, loaded by file path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  REPO / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def perfbench_gates():
+    """The benchmark's gates module, which parses what the sweep commands print."""
+    return perfbench_module("gates")
+
+
+@pytest.mark.parametrize("seed", [7, 61])
+def test_benchmark_configs_parse_without_stepping(tmp_path, seed):
+    workloads = perfbench_module("workloads")
+    parsed = set()
+    for workload in workloads.WORKLOADS:
+        for cmd in workloads.generate(workload, seed, str(tmp_path / workload))["commands"]:
+            doc = config.load_json(cmd["argv"][2])
+            if cmd["name"] == "run":
+                config.parse_run_config(doc)
+            elif cmd["name"] == "eigen":
+                g = config.parse_domain(doc["domain"])
+                config.parse_potential(doc["potential"], g, config.parse_model(doc["model"]))
+            elif cmd["name"] == "sweep":
+                g, p = config.parse_domain(doc["domain"]), config.parse_model(doc["model"])
+                if doc["kind"] == "yosida_lambda":
+                    lambdas, base, ref = config.yosida_sections(doc)
+                    sections = [ref] + [{**base, "yosida_lambda": lam} for lam in lambdas]
+                else:
+                    sections = [doc["solver"]]
+                for section in sections:
+                    config.parse_solver(section, g, p)
+            else:
+                continue
+            parsed.add((workload, cmd["name"], doc.get("kind")))
+    assert parsed == {("sweeps", "sweep", "preset_family"), ("sweeps", "sweep", "yosida_lambda"),
+                      ("implicit_2d", "eigen", None), ("implicit_2d", "run", None),
+                      ("run_verify_io", "run", None)}
 
 
 def yosida_sweep_doc():
@@ -808,6 +879,19 @@ REFUSALS = {
     "initial_string": ("run", _set("initial", "abs_edge"), "initial"),
     "initial_without_source": ("run", _set("initial", {"height": 0.2}), "initial"),
     "checks_string": ("verify", _set("checks", "monotone"), "checks"),
+    "dt_numeric_string": ("run", _set("solver", "dt", "0.05"), "solver: dt"),
+    "run_stride_numeric_string": ("run", _set("outputs", "stride", "5"), "outputs: stride"),
+    "kappa_numeric_string": ("run", _set("model", "kappa", "1"), "model: kappa"),
+    "n_interior_numeric_string": ("run", _set("domain", "n_interior", "31"),
+                                  "domain: n_interior"),
+    "bump_height_numeric_string": ("run", _set("initial", {"preset": "bump", "height": "0.3"}),
+                                   "initial: height"),
+    "lambdas_numeric_string": ("yosida", _set("lambdas", [0.1, "0.01", 0.001]), "lambdas"),
+    "family_stride_numeric_string": ("family", _set("solver", "snapshot_stride", "5"),
+                                     "solver: snapshot_stride"),
+    "dt_beyond_float": ("run", _set("solver", "dt", 10**400), "solver: dt"),
+    "endpoint_beyond_float": ("run", _set("domain", "endpoints", [-10**400, 10**400]),
+                              "domain: endpoints"),
 }
 
 
