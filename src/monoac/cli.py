@@ -56,8 +56,7 @@ def main(argv=None) -> int:
     common.add_argument("--out", default=None, help="override the output directory")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
-    parser = argparse.ArgumentParser(prog="monoac", parents=[common],
-                                     description=__doc__,
+    parser = argparse.ArgumentParser(prog="monoac", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():

@@ -28,12 +28,12 @@ class ConfigError(ValueError):
 
 def load_json(path) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(f"{path}: not a readable JSON file ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc
@@ -64,11 +64,11 @@ def count(value, where: str) -> int:
     return int(value)
 
 
-def _numbers(value, where: str, read=number):
-    """read() of a scalar entry, or of each item of a list entry."""
+def _numbers(value, where: str):
+    """number() of a scalar entry, or of each item of a list entry."""
     if isinstance(value, list):
-        return [read(x, where) for x in value]
-    return read(value, where)
+        return [number(x, where) for x in value]
+    return number(value, where)
 
 
 def _real(value, where: str):
@@ -110,9 +110,8 @@ def parse_domain(section) -> Grid:
     if isinstance(endpoints, list):  # [lo, hi] in 1D, one such pair per axis in 2D
         endpoints = [[_real(x, "domain: endpoints") for x in e] if isinstance(e, list)
                      else _real(e, "domain: endpoints") for e in endpoints]
-    n_interior = _numbers(section["n_interior"], "domain: n_interior", count)
     try:
-        return make_grid(dim, endpoints, n_interior)
+        return make_grid(dim, endpoints, section["n_interior"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"domain: {exc}") from None
 

@@ -16,6 +16,7 @@ holds exactly, which the norms and energies elsewhere rely on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -154,24 +155,25 @@ def make_grid(dim, endpoints, n_interior) -> Grid:
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    if dim == 1:
-        ep = endpoints
-        if len(ep) == 2 and np.isscalar(ep[0]):
-            endpoints = (tuple(ep),)
-        n_interior = (int(n_interior),) if np.isscalar(n_interior) else tuple(int(n) for n in n_interior)
-    else:
-        endpoints = tuple(tuple(e) for e in endpoints)
-        n_interior = tuple(int(n) for n in n_interior)
+    if dim == 1 and len(endpoints) == 2 and np.isscalar(endpoints[0]):
+        endpoints = (endpoints,)
+    endpoints = tuple(tuple(e) for e in endpoints)
+    if not isinstance(n_interior, (list, tuple, np.ndarray)):  # one axis's count
+        n_interior = (n_interior,)
     if len(endpoints) != dim or len(n_interior) != dim:
         raise ValueError("endpoints and n_interior must have one entry per axis")
     h = []
     for (lo, hi), n in zip(endpoints, n_interior):
+        if isinstance(n, bool) or not isinstance(n, numbers.Real) or not n >= 1 or n % 1:
+            raise ValueError(f"n_interior must be an integer >= 1, got {n!r}")
         if not hi > lo:
             raise ValueError(f"endpoints must be ordered, got ({lo}, {hi})")
-        if n < 1:
-            raise ValueError(f"n_interior must be >= 1, got {n}")
-        h.append((hi - lo) / (n + 1))
-    return Grid(dim=dim, endpoints=tuple(endpoints), n_interior=tuple(n_interior), h=tuple(h))
+        h.append((hi - lo) / (int(n) + 1))
+        if not (0 < (h2 := h[-1] * h[-1]) < math.inf and 1 / h2 < math.inf):
+            raise ValueError(f"endpoints ({lo}, {hi}) give spacing {h[-1]!r}, whose h^2 or "
+                             "1/h^2 is not a positive finite float")
+    return Grid(dim=dim, endpoints=endpoints, n_interior=tuple(int(n) for n in n_interior),
+                h=tuple(h))
 
 
 def _check_on_grid(g: Grid, u: Field):

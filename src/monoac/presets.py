@@ -28,13 +28,17 @@ def make_initial(name: str, g: Grid, p: ModelParams, /, **kwargs) -> Field:
     bump(center,width,height) smooth compactly supported bump, peak value height
     custom(path)            field read back from CSV
 
-    A parameter the preset does not take raises ValueError.
+    A parameter the preset does not take, or a list for a float one, raises ValueError.
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    unknown = set(kwargs) - set(list(inspect.signature(_BUILDERS[name]).parameters)[2:])
+    params = inspect.signature(_BUILDERS[name]).parameters
+    unknown = set(kwargs) - set(list(params)[2:])
     if unknown:
         raise ValueError(f"preset {name!r} does not take {sorted(unknown)}")
+    for k, v in kwargs.items():
+        if isinstance(v, list) and params[k].annotation == "float":
+            raise ValueError(f"{k} must be one number, got {v!r}")
     return _BUILDERS[name](g, p, **kwargs)
 
 

@@ -76,9 +76,10 @@ def write_json(path, doc):
 
 
 def _write_table(path, columns, table: np.ndarray):
-    rows = [",".join(columns)] + [",".join(repr_floats(row)) for row in table]
     with open(path, "w") as f:
-        f.write("\n".join(rows) + "\n")
+        f.write(",".join(columns) + "\n")
+        for i in range(0, len(table), 4096):  # a block of rows' text at a time, not the table's
+            f.write("".join(",".join(repr_floats(row)) + "\n" for row in table[i:i + 4096]))
 
 
 def _read_table(path, columns) -> np.ndarray:

@@ -115,8 +115,8 @@ class SolverConfig:
 
     def snapshot_steps(self) -> np.ndarray:
         """The steps whose states a run stores: every snapshot_stride-th, and the last."""
-        k = np.arange(self.n_steps() + 1)
-        return k[(k % self.snapshot_stride == 0) | (k == k[-1])]
+        n = self.n_steps()
+        return np.append(np.arange(0, n, min(self.snapshot_stride, n)), n)
 
 
 @dataclass

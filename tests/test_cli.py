@@ -13,6 +13,7 @@ import pytest
 from monoac import Field, ModelParams, SolverConfig, config, make_grid, run
 from monoac.cli import main
 from monoac.grid import read_field_csv, write_field_csv
+from monoac.obstacle import KernelError
 from monoac.presets import make_initial
 from monoac.runio import load_state_field, read_trajectory, write_trajectory
 from monoac.spectral import min_eig
@@ -484,6 +485,22 @@ class TestEquilibriumCommand:
         assert str(tmp_path / "run") in capsys.readouterr().err
         assert not (tmp_path / "eq").exists()
 
+    @pytest.mark.parametrize("polish", ["raises", "misses_tol"])
+    def test_failed_polish_exits_6_writing_nothing(self, tmp_path, capsys, monkeypatch, polish):
+        def solve_active_set(prob, u, tol, pgs_tol):
+            if polish == "raises":
+                raise KernelError("no active set verifies KKT")
+            return u, Field(u.grid, np.zeros(u.grid.n_nodes)), 0  # the unpolished warm start
+
+        monkeypatch.setattr("monoac.obstacle.solve_active_set", solve_active_set)
+        doc = {"domain": dict(D15), "model": {"kappa": 1.0}, "obstacle": {"preset": "abs_edge"},
+               "warm_start": {"run": dict(SOLVER)},
+               "outputs": {"directory": str(tmp_path / "eq")}}
+        assert main(["equilibrium", "--config", write_config(tmp_path, doc), "--quiet"]) == 6
+        err = capsys.readouterr().err
+        assert "polish " + ("diverged" if polish == "raises" else "stalled") in err
+        assert not (tmp_path / "eq").exists()
+
     def test_run_warm_start_without_t_end_exits_2(self, tmp_path):
         doc = {
             "domain": {"dim": 1, "endpoints": [0, 1], "n_interior": 31},
@@ -892,6 +909,14 @@ REFUSALS = {
     "dt_beyond_float": ("run", _set("solver", "dt", 10**400), "solver: dt"),
     "endpoint_beyond_float": ("run", _set("domain", "endpoints", [-10**400, 10**400]),
                               "domain: endpoints"),
+    "spacing_square_overflows": ("run", _set("domain", "endpoints", [-1e300, 1e300]),
+                                 "domain: endpoints"),
+    "spacing_square_underflows": ("run", _set("domain", "endpoints", [-1e-300, 1e-300]),
+                                  "domain: endpoints"),
+    "bump_height_list": ("run", _set("initial", {"preset": "bump", "height": []}),
+                         "initial: height"),
+    "eigenfunction_c_list": ("run", _set("initial", {"preset": "eigenfunction", "c": [0, 1]}),
+                             "initial: c"),
 }
 
 
@@ -966,6 +991,43 @@ def test_malformed_manifest_equilibrium_exits_6(tmp_path, case):
 
 def test_missing_config_flag_is_error():
     assert main(["run"]) == 2
+
+
+@pytest.mark.parametrize("option", [["--out", "elsewhere"], ["--quiet"], ["--config", "c.json"]],
+                         ids=["out", "quiet", "config"])
+def test_option_before_the_subcommand_is_a_usage_error(tmp_path, capsys, monkeypatch, option):
+    # the top-level parser takes no option, so none is silently dropped for the subcommand's
+    doc = run_config(tmp_path, domain=dict(D15))
+    doc["solver"] = dict(SOLVER)
+    path = write_config(tmp_path, doc)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        main(option + ["run", "--config", path])
+    assert exc.value.code == 2
+    assert "usage: monoac" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_exits_2_naming_it(tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"domain": "\xff"}')
+    assert main(["run", "--config", str(path), "--quiet"]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def test_stride_beyond_the_step_count_stores_the_first_and_last_states(tmp_path):
+    doc = run_config(tmp_path, domain=dict(D15))
+    doc["solver"] = dict(SOLVER)
+    doc["outputs"]["stride"] = 1e300
+    assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [s["t"] for s in manifest["snapshots"]] == [0.0, manifest["t_end"]]
+    assert manifest["n_steps"] == 10
 
 
 def test_module_entry_point_refuses_a_missing_config_file(tmp_path):

@@ -183,6 +183,27 @@ class TestComparison:
         with pytest.raises(ValueError, match="matching"):
             check_comparison(abs_edge_traj, zero_traj)
 
+    def test_low_member_raised_at_one_snapshot_fails_there(self, abs_edge_traj):
+        lo = copy.copy(abs_edge_traj)
+        lo.snapshots = list(abs_edge_traj.snapshots)
+        lo.snapshots[3] = Field(lo.grid, lo.snapshots[3].values + 1e-6)
+        rep = check_comparison(lo, abs_edge_traj)
+        assert not rep.passed
+        assert rep.worst_violation == pytest.approx(1e-6)
+        assert rep.location == float(abs_edge_traj.snapshot_times[3])
+
+    def test_unordered_initial_data_rejected(self, abs_edge_traj):
+        lo = copy.copy(abs_edge_traj)
+        lo.u0 = Field(lo.grid, abs_edge_traj.u0.values + 1e-3)
+        with pytest.raises(ValueError, match="not ordered"):
+            check_comparison(lo, abs_edge_traj)
+
+    def test_disjoint_snapshot_times_rejected(self, abs_edge_traj):
+        hi = copy.copy(abs_edge_traj)
+        hi.snapshot_times = abs_edge_traj.snapshot_times + 0.01  # half a step: no time matches
+        with pytest.raises(ValueError, match="no snapshot times"):
+            check_comparison(abs_edge_traj, hi)
+
 
 class TestDissipation:
     def test_zero_trajectory_trivial(self, zero_traj):

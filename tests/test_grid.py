@@ -52,6 +52,23 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="dim"):
             make_grid(3, ((0, 1),) * 3, (4, 4, 4))
 
+    @pytest.mark.parametrize("dim,n", [(1, 15.5), (1, True), (1, np.nan), (1, "15"),
+                                       (2, (15, 7.5)), (2, (True, 7))])
+    def test_node_count_not_a_whole_number_rejected(self, dim, n):
+        with pytest.raises(ValueError, match="n_interior"):
+            make_grid(dim, (0, 1) if dim == 1 else ((0, 1), (0, 1)), n)
+
+    def test_whole_float_node_count_accepted(self):
+        assert make_grid(2, ((0, 1), (0, 1)), (15.0, np.int64(7))).n_interior == (15, 7)
+
+    @pytest.mark.parametrize("endpoints", [(-1e-300, 1e-300), (0, 1e300), (-1e300, 1e300),
+                                           ((0, 1), (0, 1e-300))])
+    def test_spacing_without_finite_inverse_square_rejected(self, endpoints):
+        # h*h underflows to 0 or overflows to inf: the stencil's 1/h^2 would be inf or 0
+        dim = 1 if np.isscalar(endpoints[0]) else 2
+        with pytest.raises(ValueError, match="endpoints"):
+            make_grid(dim, endpoints, 15 if dim == 1 else (15, 15))
+
 
 class TestField:
     def test_wrong_length_rejected(self):

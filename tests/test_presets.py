@@ -115,6 +115,15 @@ def test_parameter_the_preset_does_not_take_rejected(name, kwargs):
         make_initial(name, g, P1, **kwargs)
 
 
+@pytest.mark.parametrize("name,kwargs", [("bump", {"height": []}),
+                                         ("eigenfunction", {"c": [0, 1]}),
+                                         ("supersolution", {"c": [1.0]})])
+def test_list_for_a_float_parameter_rejected(name, kwargs):
+    g = make_grid(1, (-1, 1), 9)
+    with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be one number"):
+        make_initial(name, g, P1, **kwargs)
+
+
 def test_preset_name_list_is_stable():
     assert set(PRESET_NAMES) == {"zero", "abs_edge", "neg_const", "eigenfunction",
                                  "bump", "supersolution", "custom"}

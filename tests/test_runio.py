@@ -1,5 +1,10 @@
 """A run written by runio.write_trajectory reads back as run() returned it."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,7 @@ from monoac.presets import make_initial
 from monoac.runio import STEPS_COLUMNS, read_trajectory, write_trajectory
 
 P1 = ModelParams(kappa=1.0)
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 ARRAYS = ("times", "diag", "res_l2sq", "obstacle_gap_min", "du_dt_l2", "step_min_increment")
 
 
@@ -135,3 +141,43 @@ def test_one_field_call_per_snapshot_file(tmp_path, monkeypatch):
     assert len({f.read_bytes() for f in files}) == calls["parse"] == len(distinct)
     for a, b in zip(traj.snapshots, back.snapshots, strict=True):
         assert a.values.tobytes() == b.values.tobytes()
+
+
+WRITE_PEAK = """
+import sys
+import numpy as np
+from monoac import Field, ModelParams, SolverConfig, make_grid
+from monoac.runio import write_trajectory
+from monoac.steppers import Trajectory
+
+def vm_hwm_mb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM")) / 1024
+
+n = 1 << 18
+g = make_grid(1, (-1, 1), 15)
+rng = np.random.default_rng(0)
+u = Field(g, rng.random(g.n_nodes))
+traj = Trajectory(
+    grid=g, params=ModelParams(kappa=1.0), config=SolverConfig("explicit", 1.0, float(n)),
+    u0=u, times=np.arange(n + 1.0), diag=rng.random((n + 1, 9)), res_l2sq=rng.random(n + 1),
+    obstacle_gap_min=rng.random(n + 1), du_dt_l2=rng.random(n),
+    step_min_increment=rng.random(n), inner_iterations=np.ones(n, dtype=int),
+    snapshot_times=np.array([0.0, n]), snapshots=[u, u])
+before = vm_hwm_mb()
+write_trajectory(traj, sys.argv[1])
+print(vm_hwm_mb() - before)
+"""
+
+
+def test_writing_long_series_holds_a_block_of_rows_not_the_tables(tmp_path):
+    # 2^18 steps of 17-digit values: the two tables are about 75 MB of text
+    proc = subprocess.run([sys.executable, "-c", WRITE_PEAK, str(tmp_path)], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rise_mb = float(proc.stdout)
+    with open(tmp_path / "diagnostics.csv") as f:
+        assert sum(1 for _ in f) == (1 << 18) + 2  # the header and every state's row
+    assert rise_mb < 40, f"writing raised VmHWM by {rise_mb:.1f} MB"
+    for path in tmp_path.iterdir():  # about 75 MB that pytest would otherwise keep
+        path.unlink()

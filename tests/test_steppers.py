@@ -62,6 +62,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="scheme"):
             SolverConfig(scheme="leapfrog", dt=0.1, t_end=1.0).validate(g, P1)
 
+    def test_snapshot_steps_are_every_stride_th_and_the_last(self):
+        for n in range(1, 61):
+            for stride in range(1, 71):
+                k = np.arange(n + 1)
+                masked = k[(k % stride == 0) | (k == n)]
+                cfg = SolverConfig(scheme="explicit", dt=1.0, t_end=float(n),
+                                   snapshot_stride=stride)
+                assert cfg.snapshot_steps().tolist() == masked.tolist(), (n, stride)
+
+    def test_stride_beyond_any_array_stores_first_and_last(self):
+        cfg = SolverConfig(scheme="explicit", dt=1.0, t_end=1e6, snapshot_stride=int(1e300))
+        assert cfg.snapshot_steps().tolist() == [0, 10**6]
+
 
 class TestExplicitStep:
     def test_supersolution_is_fixed_point(self):
