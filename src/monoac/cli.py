@@ -78,9 +78,9 @@ def _say(args, message):
         print(message)
 
 
-def _run_and_write(setup, outdir, doc):
-    """Run a run configuration and write and return its trajectory; after a solver
-    failure write the partial one and return None (exit code 3)."""
+def _run_and_write(setup, outdir, doc) -> bool:
+    """Run a run configuration and write its trajectory; after a solver failure write
+    the partial one and return False (exit code 3)."""
     try:
         traj = run(setup.grid, setup.u0, setup.params, setup.solver)
     except SolverError as exc:
@@ -88,46 +88,42 @@ def _run_and_write(setup, outdir, doc):
         if exc.trajectory is not None:
             runio.write_trajectory(exc.trajectory, outdir, config_echo=doc)
             print(f"partial outputs kept in {outdir}", file=sys.stderr)
-        return None
+        return False
     runio.write_trajectory(traj, outdir, config_echo=doc)
-    return traj
+    return True
 
 
 def cmd_run(args, doc) -> int:
     """Integrate one configuration and write its trajectory artifacts."""
     setup = parse_run_config(doc)
     outdir = args.out or setup.out_dir
-    traj = _run_and_write(setup, outdir, doc)
-    if traj is None:
+    if not _run_and_write(setup, outdir, doc):
         return 3
-    _say(args, f"run finished: {traj.n_steps()} steps to t={traj.times[-1]:g}, "
-               f"outputs in {outdir}")
+    n = setup.solver.n_steps()
+    _say(args, f"run finished: {n} steps to t={setup.solver.dt * n:g}, outputs in {outdir}")
     return 0
 
 
 def cmd_verify(args, doc) -> int:
-    """Run the configured checks over a fresh or existing trajectory."""
+    """Run the configured checks over a written run, run first from a run configuration."""
     if "trajectory" in doc:
         config.require_keys(doc, "config", ("trajectory",), ("checks", "outputs"))
         trajectory = config.path_string(doc["trajectory"], "trajectory")
         outdir = config.output_dir(doc, args.out) or trajectory
         checks = config.parse_checks(doc.get("checks"))
-        try:
-            traj = runio.read_trajectory(trajectory)
-            manifest_hash = runio.manifest_sha256(trajectory)
-        except (OSError, ValueError) as exc:
-            runio.write_verification(outdir, [diagnostics.error_report("load_trajectory", exc)],
-                                     None)
-            print(f"trajectory unusable: {exc}", file=sys.stderr)
-            return 4
     else:
         setup = parse_run_config(doc)
-        outdir = args.out or setup.out_dir
-        traj = _run_and_write(setup, outdir, doc)
-        if traj is None:
+        trajectory = outdir = args.out or setup.out_dir
+        if not _run_and_write(setup, outdir, doc):
             return 3
-        manifest_hash = runio.manifest_sha256(outdir)
         checks = setup.checks
+    try:
+        traj = runio.read_trajectory(trajectory)
+        manifest_hash = runio.manifest_sha256(trajectory)
+    except (OSError, ValueError) as exc:
+        runio.write_verification(outdir, [diagnostics.error_report("load_trajectory", exc)], None)
+        print(f"trajectory unusable: {exc}", file=sys.stderr)
+        return 4
     reports = _run_checks_reporting(traj, checks or DEFAULT_CHECK_SUITE)
     runio.write_verification(outdir, reports, manifest_hash)
     for r in reports:

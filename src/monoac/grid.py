@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -143,8 +144,17 @@ class Field:
                 f"field has {v.shape[0]} values, grid has {self.grid.n_nodes} interior nodes"
             )
         if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite values")
+            raise NonFiniteError("field contains non-finite values")
         object.__setattr__(self, "values", v)
+
+
+class NonFiniteError(ValueError):
+    """A Field given a value that is not finite."""
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory, read through sysconf."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def make_grid(dim, endpoints, n_interior) -> Grid:
@@ -162,10 +172,14 @@ def make_grid(dim, endpoints, n_interior) -> Grid:
         n_interior = (n_interior,)
     if len(endpoints) != dim or len(n_interior) != dim:
         raise ValueError("endpoints and n_interior must have one entry per axis")
-    h = []
-    for (lo, hi), n in zip(endpoints, n_interior):
+    for n in n_interior:
         if isinstance(n, bool) or not isinstance(n, numbers.Real) or not n >= 1 or n % 1:
             raise ValueError(f"n_interior must be an integer >= 1, got {n!r}")
+    if 8 * math.prod(int(n) for n in n_interior) > (memory := physical_memory()):
+        raise ValueError(f"n_interior gives more nodes than one float64 array can hold in "
+                         f"the {memory} bytes of physical memory")
+    h = []
+    for (lo, hi), n in zip(endpoints, n_interior):
         if not hi > lo:
             raise ValueError(f"endpoints must be ordered, got ({lo}, {hi})")
         h.append((hi - lo) / (int(n) + 1))

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .grid import Field, Grid, parse_csv_rows, read_field_csv, repr_floats, write_field_csv
+from .grid import Field, make_grid, parse_csv_rows, read_field_csv, repr_floats, write_field_csv
 from .model import SNAPSHOT_COLUMNS, ModelParams
 from .steppers import SolverConfig, Trajectory, snapshot_index
 
@@ -38,12 +38,10 @@ def _snapshot_filename(k: int) -> str:
 def write_trajectory(traj: Trajectory, outdir, config_echo: dict | None = None):
     """Write diagnostics, per-step series, strided snapshots and the manifest."""
     os.makedirs(outdir, exist_ok=True)
-    _write_table(os.path.join(outdir, DIAGNOSTICS_FILE), SNAPSHOT_COLUMNS, traj.diag)
-    first_step = np.zeros(1)  # no step ends at t_0
-    steps = np.column_stack([traj.times, traj.res_l2sq, traj.obstacle_gap_min,
-                             np.concatenate([first_step, traj.du_dt_l2]),
-                             np.concatenate([first_step, traj.step_min_increment])])
-    _write_table(os.path.join(outdir, STEPS_FILE), STEPS_COLUMNS, steps)
+    _write_table(os.path.join(outdir, DIAGNOSTICS_FILE), SNAPSHOT_COLUMNS, traj.diag.T)
+    _write_table(os.path.join(outdir, STEPS_FILE), STEPS_COLUMNS,
+                 [traj.times, traj.res_l2sq, traj.obstacle_gap_min, traj.du_dt_l2,
+                  traj.step_min_increment])
 
     snapshot_files = []
     for i, (t, field) in enumerate(zip(traj.snapshot_times, traj.snapshots)):
@@ -75,11 +73,18 @@ def write_json(path, doc):
         f.write("\n")
 
 
-def _write_table(path, columns, table: np.ndarray):
+def _write_table(path, columns, series):
+    """A CSV of the series side by side, one per column.  A series one row short is per
+    step: its row 0, where no step ends at t_0, is written as 0.0."""
+    n = len(series[0])
     with open(path, "w") as f:
         f.write(",".join(columns) + "\n")
-        for i in range(0, len(table), 4096):  # a block of rows' text at a time, not the table's
-            f.write("".join(",".join(repr_floats(row)) + "\n" for row in table[i:i + 4096]))
+        for i in range(0, n, 4096):  # a block of rows at a time, not the table
+            block = np.zeros((min(4096, n - i), len(columns)))
+            for column, x in zip(block.T, series):
+                lag = n - len(x)
+                column[max(lag - i, 0):] = x[max(i - lag, 0):i - lag + len(column)]
+            f.write("".join(",".join(repr_floats(row)) + "\n" for row in block))
 
 
 def _read_table(path, columns) -> np.ndarray:
@@ -121,24 +126,24 @@ def read_trajectory(outdir) -> Trajectory:
 
 
 def _read_manifest(outdir) -> dict:
-    """The manifest of a written run, its records parsed: "grid", "model" and "solver" as
-    Grid, ModelParams and SolverConfig, "snapshots" as (path, t) pairs and
-    "inner_iterations" as an int array.  ValueError if it is malformed or lists no snapshot."""
+    """The manifest of a written run, its records read by a configuration's rules: "grid",
+    "model" and "solver" as Grid, ModelParams and SolverConfig, "snapshots" as (path, t)
+    pairs and "inner_iterations" as an int array.  ValueError if malformed or snapshot-less."""
     with open(os.path.join(outdir, MANIFEST_FILE)) as f:
         manifest = json.load(f)
     try:
-        gsec = manifest["grid"]
+        gsec, model = manifest["grid"], ModelParams(kappa=manifest["model"]["kappa"])
+        grid = make_grid(gsec["dim"], gsec["endpoints"], gsec["n_interior"])
+        if tuple(gsec["h"]) != grid.h:  # the snapshot headers are checked against grid.h
+            raise ValueError(f"grid: h {gsec['h']} is not the endpoints' {list(grid.h)}")
         manifest = {
-            **manifest,
-            "grid": Grid(dim=gsec["dim"], endpoints=tuple(tuple(e) for e in gsec["endpoints"]),
-                         n_interior=tuple(gsec["n_interior"]), h=tuple(gsec["h"])),
-            "model": ModelParams(kappa=manifest["model"]["kappa"]),
-            "solver": SolverConfig(**manifest["solver"]),
+            **manifest, "grid": grid, "model": model, "solver": SolverConfig(**manifest["solver"]),
             "snapshots": [(os.path.join(outdir, e["file"]), float(e["t"]))
                           for e in manifest["snapshots"]],
             "inner_iterations": np.array(manifest.get("inner_iterations", []), dtype=int),
         }
-    except (KeyError, TypeError) as exc:
+        manifest["solver"].validate(grid, model)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{outdir}: malformed {MANIFEST_FILE} ({exc!r})") from None
     if not manifest["snapshots"]:
         raise ValueError(f"{outdir}: no snapshots on disk")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._linsolve import LinearSolveError, solve_shifted
-from .grid import Field, Grid, lap_array
+from .grid import Field, Grid, NonFiniteError, lap_array, physical_memory
 from .model import (
     SNAPSHOT_COLUMNS,
     ModelParams,
@@ -105,6 +105,10 @@ class SolverConfig:
                     f"fully_implicit needs dt < 1/kappa = {1.0 / p.kappa} to keep the step convex"
                 )
         n = self.t_end / self.dt
+        if not n * STEP_BYTES <= (memory := physical_memory()):  # inf included
+            raise ValueError(f"t_end={self.t_end} is {n:.3g} steps of dt={self.dt}, whose "
+                             f"per-step series would not fit in the {memory} bytes of "
+                             "physical memory")
         if abs(n - round(n)) > 1e-8 * max(1.0, n):
             raise ValueError(f"t_end={self.t_end} is not an integer number of steps of dt={self.dt}")
         if round(n) < 1:
@@ -232,13 +236,13 @@ def step_explicit(g: Grid, u: Field, p: ModelParams, dt: float) -> Field:
 def _implicit_step(g, u_prev: np.ndarray, p, cfg: SolverConfig):
     # convex_split takes kappa*u explicitly; fully_implicit does not (convex for dt < 1/kappa)
     b = u_prev * (1.0 / cfg.dt + p.kappa) if cfg.splitting == "convex_split" else u_prev / cfg.dt
-    prob = ObstacleProblem(grid=g, psi=Field(g, u_prev), a=1.0 / cfg.dt, b=Field(g, b),
-                           kappa_implicit=cfg.splitting == "fully_implicit", params=p)
-    try:
+    try:  # a Field that is not finite means the state left the finite range
+        prob = ObstacleProblem(grid=g, psi=Field(g, u_prev), a=1.0 / cfg.dt, b=Field(g, b),
+                               kappa_implicit=cfg.splitting == "fully_implicit", params=p)
         u_next, eta_hat, iters = solve_active_set(
             prob, prob.psi, tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter,
             pgs_tol=cfg.pgs_tol, pgs_max_iter=cfg.pgs_max_iter)
-    except (KernelError, LinearSolveError) as exc:
+    except (KernelError, LinearSolveError, NonFiniteError) as exc:
         raise SolverError(f"implicit step failed: {exc}") from exc
     report = complementarity_report(prob, u_next, eta_hat)
     if report.max_entry() > 1e3 * max(cfg.newton_tol, cfg.pgs_tol):
@@ -336,6 +340,11 @@ def yosida_rhs(g: Grid, u: Field, p: ModelParams, lam: float) -> Field:
 def step_yosida(g: Grid, u: Field, p: ModelParams, dt: float, lam: float) -> Field:
     """One forward-Euler step of the regularized flow; monotone like the others."""
     return Field(g, _step_once(g, u, p, "yosida", dt, yosida_lambda=lam)[0])
+
+
+# bytes per step of one member's per-step arrays in run(): times, the diagnostics row,
+# res_l2sq, gap_min, du_dt_l2, min_inc, inner and eta_gap
+STEP_BYTES = 8 * (1 + len(SNAPSHOT_COLUMNS) + 6)
 
 
 def run(g: Grid, u0, p: ModelParams, cfg):

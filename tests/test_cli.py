@@ -92,6 +92,17 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["failure"] is not None
 
+    @pytest.mark.parametrize("scheme, dt", [("explicit", 1e-3), ("yosida", 1e-3),
+                                            ("implicit_obstacle", 0.05)])
+    def test_state_leaving_the_finite_range_exits_3(self, tmp_path, capsys, scheme, dt):
+        doc = run_config(tmp_path, domain=dict(D15), initial={"preset": "bump", "height": 1e300})
+        doc["solver"] = {"scheme": scheme, "dt": dt, "t_end": 10 * dt}
+        with pytest.warns(RuntimeWarning):  # every scheme overflows on its way out
+            assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 3
+        assert "partial outputs kept" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failure"]["step"] == 0
+
     def test_byte_identical_reruns(self, tmp_path):
         doc_a = run_config(tmp_path, out="a")
         doc_b = run_config(tmp_path, out="b")
@@ -917,6 +928,15 @@ REFUSALS = {
                          "initial: height"),
     "eigenfunction_c_list": ("run", _set("initial", {"preset": "eigenfunction", "c": [0, 1]}),
                              "initial: c"),
+    # sized beyond any host's memory
+    "n_interior_beyond_memory": ("run", _set("domain", "n_interior", 10**13),
+                                 "domain: n_interior"),
+    "n_interior_beyond_float": ("run", _set("domain", {"dim": 1, "endpoints": [0.0, 1.0],
+                                                       "n_interior": 10**400}),
+                                "domain: n_interior"),
+    "steps_beyond_memory": ("run", _set("solver", "t_end", 5e10), "solver: t_end"),
+    "steps_beyond_float": ("run", _set("solver", {"scheme": "implicit_obstacle", "t_end": 1e9,
+                                                  "dt": 1e-300}), "solver: t_end"),
 }
 
 
@@ -947,6 +967,10 @@ MANIFEST_DAMAGE = {
     "grid_list": lambda m: m.update(grid=[1]),
     "snapshots_string": lambda m: m.update(snapshots="abc"),
     "kappa_string": lambda m: m["model"].update(kappa="abc"),
+    "solver_dt_negative": lambda m: m["solver"].update(dt=-1.0),
+    "solver_scheme_unknown": lambda m: m["solver"].update(scheme="rk4"),
+    "grid_h_mismatch": lambda m: m["grid"].update(h=[2 * h for h in m["grid"]["h"]]),
+    "grid_nodes_zero": lambda m: m["grid"].update(n_interior=[0]),
 }
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from monoac import (ModelParams, SolverConfig, SolverError, cfl_limit, grid, make_grid, run,
                     runio, steppers)
+from monoac.diagnostics import SINGLE_TRAJECTORY_CHECKS, run_checks
 from monoac.presets import make_initial
 from monoac.runio import STEPS_COLUMNS, read_trajectory, write_trajectory
 
@@ -66,6 +67,21 @@ def test_series_read_back_bitwise(tmp_path, monkeypatch, make):
     assert back.failure == traj.failure
     for sa, sb in zip(traj.snapshots, back.snapshots, strict=True):
         assert sa.values.tobytes() == sb.values.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "yosida", "implicit_obstacle"])
+def test_checks_report_the_same_in_memory_and_from_disk(tmp_path, scheme):
+    g = make_grid(1, (-1, 1), 31)
+    dt = 0.05 if scheme == "implicit_obstacle" else cfl_limit(g) / 2
+    cfg = SolverConfig(scheme=scheme, dt=dt, t_end=64 * dt, snapshot_stride=8)
+    traj = run(g, make_initial("abs_edge", g, P1), P1, cfg)
+    write_trajectory(traj, tmp_path)
+    checks = list(SINGLE_TRAJECTORY_CHECKS)
+    memory = [r.to_dict() for r in run_checks(traj, checks)]
+    disk = [r.to_dict() for r in run_checks(read_trajectory(tmp_path), checks)]
+    assert [r["name"] for r in memory] == checks
+    for a, b in zip(memory, disk, strict=True):
+        assert a == b
 
 
 def test_steps_file_layout(tmp_path):
@@ -178,6 +194,6 @@ def test_writing_long_series_holds_a_block_of_rows_not_the_tables(tmp_path):
     rise_mb = float(proc.stdout)
     with open(tmp_path / "diagnostics.csv") as f:
         assert sum(1 for _ in f) == (1 << 18) + 2  # the header and every state's row
-    assert rise_mb < 40, f"writing raised VmHWM by {rise_mb:.1f} MB"
+    assert rise_mb < 8, f"writing raised VmHWM by {rise_mb:.1f} MB"
     for path in tmp_path.iterdir():  # about 75 MB that pytest would otherwise keep
         path.unlink()
