@@ -163,8 +163,9 @@ def make_grid(dim, endpoints, n_interior) -> Grid:
     1D accepts scalars, e.g. make_grid(1, (0, 1), 127); 2D takes per-axis
     tuples, e.g. make_grid(2, ((0, 1), (0, 1)), (31, 31)).
     """
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    if isinstance(dim, bool) or dim not in (1, 2):  # a whole number, 2.0 included
+        raise ValueError(f"dim must be 1 or 2, got {dim!r}")
+    dim = int(dim)
     if dim == 1 and len(endpoints) == 2 and np.isscalar(endpoints[0]):
         endpoints = (endpoints,)
     endpoints = tuple(tuple(e) for e in endpoints)

@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 
+from .config import number
 from .grid import Field, make_grid, parse_csv_rows, read_field_csv, repr_floats, write_field_csv
 from .model import SNAPSHOT_COLUMNS, ModelParams
 from .steppers import SolverConfig, Trajectory, snapshot_index
@@ -129,21 +130,25 @@ def _read_manifest(outdir) -> dict:
     """The manifest of a written run, its records read by a configuration's rules: "grid",
     "model" and "solver" as Grid, ModelParams and SolverConfig, "snapshots" as (path, t)
     pairs and "inner_iterations" as an int array.  ValueError if malformed or snapshot-less."""
-    with open(os.path.join(outdir, MANIFEST_FILE)) as f:
-        manifest = json.load(f)
     try:
+        with open(os.path.join(outdir, MANIFEST_FILE)) as f:
+            manifest = json.load(f)
         gsec, model = manifest["grid"], ModelParams(kappa=manifest["model"]["kappa"])
         grid = make_grid(gsec["dim"], gsec["endpoints"], gsec["n_interior"])
         if tuple(gsec["h"]) != grid.h:  # the snapshot headers are checked against grid.h
             raise ValueError(f"grid: h {gsec['h']} is not the endpoints' {list(grid.h)}")
+        inner = manifest.get("inner_iterations", [])
+        if not isinstance(inner, list) or any(
+                type(k) not in (int, float) or not k >= 0 or k % 1 for k in inner):
+            raise ValueError("inner_iterations: expected whole numbers >= 0")
         manifest = {
             **manifest, "grid": grid, "model": model, "solver": SolverConfig(**manifest["solver"]),
-            "snapshots": [(os.path.join(outdir, e["file"]), float(e["t"]))
+            "snapshots": [(os.path.join(outdir, e["file"]), number(e["t"], "snapshots: t"))
                           for e in manifest["snapshots"]],
-            "inner_iterations": np.array(manifest.get("inner_iterations", []), dtype=int),
+            "inner_iterations": np.array([int(k) for k in inner], dtype=int),
         }
         manifest["solver"].validate(grid, model)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{outdir}: malformed {MANIFEST_FILE} ({exc!r})") from None
     if not manifest["snapshots"]:
         raise ValueError(f"{outdir}: no snapshots on disk")
@@ -151,9 +156,17 @@ def _read_manifest(outdir) -> dict:
 
 
 def manifest_sha256(outdir) -> str:
-    import hashlib  # loads OpenSSL (3.6 MB, 5 ms on a 2-vCPU Xeon); only `verify` needs it
+    # CPython's own SHA-256, which hashlib falls back to: hashlib maps OpenSSL's libcrypto
+    # (3.6 MB resident, 4-5 ms of import on a 2-vCPU Xeon), so no command loads it
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:  # an interpreter built without either
+            from hashlib import sha256
     with open(os.path.join(outdir, MANIFEST_FILE), "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+        return sha256(f.read()).hexdigest()
 
 
 def write_verification(outdir, reports, manifest_hash: str | None):

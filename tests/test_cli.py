@@ -971,14 +971,23 @@ MANIFEST_DAMAGE = {
     "solver_scheme_unknown": lambda m: m["solver"].update(scheme="rk4"),
     "grid_h_mismatch": lambda m: m["grid"].update(h=[2 * h for h in m["grid"]["h"]]),
     "grid_nodes_zero": lambda m: m["grid"].update(n_interior=[0]),
+    "grid_dim_bool": lambda m: m["grid"].update(dim=True),
+    "inner_iterations_fraction": lambda m: m["inner_iterations"].__setitem__(0, 1.5),
+    "inner_iterations_beyond_int64": lambda m: m["inner_iterations"].__setitem__(0, 10**30),
+    "snapshot_time_string": lambda m: m["snapshots"][0].update(t=str(m["snapshots"][0]["t"])),
 }
+
+
+def written_run(tmp_path):
+    """A small run on disk, in tmp_path / "out"."""
+    doc = run_config(tmp_path, domain=dict(D15))
+    assert main(["run", "--config", write_config(tmp_path, doc, "run.json"), "--quiet"]) == 0
+    return tmp_path / "out"
 
 
 def damaged_run(tmp_path, case):
     """A run on disk whose manifest.json is damaged as MANIFEST_DAMAGE[case] says."""
-    doc = run_config(tmp_path, domain=dict(D15))
-    assert main(["run", "--config", write_config(tmp_path, doc, "run.json"), "--quiet"]) == 0
-    manifest_path = tmp_path / "out" / "manifest.json"
+    manifest_path = written_run(tmp_path) / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     MANIFEST_DAMAGE[case](manifest)
     manifest_path.write_text(json.dumps(manifest))
@@ -1011,6 +1020,32 @@ def test_malformed_manifest_equilibrium_exits_6(tmp_path, case):
            "warm_start": {"trajectory": str(out)}}
     assert main(["equilibrium", "--config", write_config(tmp_path, doc, "eq.json"),
                  "--quiet"]) == 6
+
+
+def test_manifest_that_is_not_json_is_named(tmp_path):
+    out = written_run(tmp_path)
+    (out / "manifest.json").write_text("{not json")
+    for read in (read_trajectory, load_state_field):
+        with pytest.raises(ValueError, match="manifest.json"):
+            read(out)
+    assert main(["verify", "--config", write_config(tmp_path, {"trajectory": str(out)}, "v.json"),
+                 "--out", str(tmp_path / "vout"), "--quiet"]) == 4
+    report = json.loads((tmp_path / "vout" / "verification.json").read_text())
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [("load_trajectory", False)]
+    doc = {"domain": dict(D15), "model": {"kappa": 1.0}, "obstacle": {"preset": "abs_edge"},
+           "warm_start": {"trajectory": str(out)}}
+    assert main(["equilibrium", "--config", write_config(tmp_path, doc, "eq.json"),
+                 "--quiet"]) == 6
+
+
+def test_whole_float_manifest_dim_reads_as_int(tmp_path):
+    out = written_run(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["grid"]["dim"] = 1.0
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    traj = read_trajectory(out)
+    assert traj.grid.dim == 1 and type(traj.grid.dim) is int
+    assert load_state_field(out).grid == traj.grid
 
 
 def test_missing_config_flag_is_error():
@@ -1096,9 +1131,9 @@ def test_load_state_field_picks_the_stored_snapshot(tmp_path):
             traj.state_at_time(t)
 
 
-def test_only_verify_loads_openssl(tmp_path):
-    # hashlib's OpenSSL backend costs every process memory and start-up time, and
-    # only verify's manifest hash needs it
+def test_no_command_loads_openssl(tmp_path):
+    # hashlib's OpenSSL backend costs every process memory and start-up time; verify's
+    # manifest hash uses CPython's own SHA-256, so no command needs it
     run_doc = refusal_doc("run", tmp_path)
     family_doc = refusal_doc("family", tmp_path)
     family_doc["solver"] = {"scheme": "explicit", "dt": 0.005, "t_end": 0.5}
@@ -1112,8 +1147,8 @@ before = "_hashlib" in sys.modules
 from monoac.cli import main
 assert main(["run", "--config", {run_cfg!r}, "--quiet"]) == 0
 assert main(["sweep", "--config", {family_cfg!r}, "--quiet"]) == 0
-assert before or "_hashlib" not in sys.modules, "monoac loaded _hashlib"
 assert main(["verify", "--config", {verify_cfg!r}, "--quiet"]) == 0
+assert before or "_hashlib" not in sys.modules, "monoac loaded _hashlib"
 """, cwd=tmp_path)
     manifest = (tmp_path / "out" / "manifest.json").read_bytes()
     report = json.loads((tmp_path / "out" / "verification.json").read_text())

@@ -51,6 +51,8 @@ class TestMakeGrid:
     def test_bad_dim_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             make_grid(3, ((0, 1),) * 3, (4, 4, 4))
+        with pytest.raises(ValueError, match="dim"):
+            make_grid(True, (0, 1), 4)
 
     @pytest.mark.parametrize("dim,n", [(1, 15.5), (1, True), (1, np.nan), (1, "15"),
                                        (2, (15, 7.5)), (2, (True, 7))])
